@@ -5,7 +5,10 @@
 //
 // One process, one thread. The run sets the workload up five times (median
 // reported as setup_s): once before the timed passes, the others spread over
-// them. Timed passes run until S seconds have passed (at least two). The last line of stdout is one JSON object:
+// them. Timed passes run until S seconds have passed (at least two), each
+// followed by units of the host-speed reference kernel (reference.hpp) for a
+// fifth of its wall time; the reported times are divided by the host's
+// slowdown over the run. The last line of stdout is one JSON object:
 //   {"correct": bool, "attempted": n, "failed": n, "metrics": {name: {value, unit}}}
 // With --trace 0 the metrics are the end-to-end ones; with --trace 1 they are
 // the per-layer ones, every other timed pass is traced, and the spans are
@@ -24,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "reference.hpp"
 #include "stats.hpp"
 #include "workloads.hpp"
 
@@ -39,6 +43,9 @@ double seconds_since(Clock::time_point t0) {
 }
 
 constexpr int kSetups = 5;
+// Reference kernel time after each timed pass, as a share of the pass's wall
+// time, so the kernel samples the host's speed evenly over the timed phase.
+constexpr double kReferenceShare = 0.2;
 
 struct Args {
   std::string workload;
@@ -179,6 +186,7 @@ private:
 
 void add_layer_metrics(Metrics& m, const std::vector<SelfTimes>& setups,
                        const std::vector<SelfTimes>& passes, const LayerCounts& c,
+                       double wall_elems_per_s, double reference_unit_s,
                        double trace_overhead_pct) {
   // A layer that runs in the timed passes is reported per pass; one that
   // runs only while setting up (fabric build, scenario load, inputs) per
@@ -230,6 +238,8 @@ void add_layer_metrics(Metrics& m, const std::vector<SelfTimes>& setups,
   m.add("bench.inputs_s", layer_s["bench.inputs"], "s");
   m.add("bench.verify_s", layer_s["bench.verify"], "s");
   m.add("bench.trace_overhead_pct", trace_overhead_pct, "%");
+  m.add("bench.wall_elems_per_s", wall_elems_per_s, "elem/s");
+  m.add("bench.reference_unit_ns", reference_unit_s * 1e9, "ns");
 }
 
 int run(const Args& args) {
@@ -275,6 +285,9 @@ int run(const Args& args) {
   std::vector<double> pass_s;
   std::vector<SelfTimes> pass_layers;
   LayerCounts counts;
+  perfbench::ReferenceKernel reference;
+  double reference_s = 0.0;
+  std::uint64_t reference_units = 0;
   double first_sim_s = 0.0, sim_s_sum = 0.0, rss_mb = 0.0;
   // The fixed part of the run: its sim_s and memory do not depend on how
   // many passes the host manages in --seconds.
@@ -301,6 +314,11 @@ int run(const Args& args) {
     elements[traced] += r.elements;
     wall_s[traced] += wall;
     if (traced) pass_layers.push_back(spans.self_seconds(mark, spans.size()));
+    for (double spent = 0.0; spent < kReferenceShare * wall; ++reference_units) {
+      const double unit_s = reference.unit();
+      spent += unit_s;
+      reference_s += unit_s;
+    }
     if (i == 0) {
       first_sim_s = r.sim_s;
       counts = r.counts;
@@ -318,19 +336,23 @@ int run(const Args& args) {
   // host_elems_per_s is taken over all passes of a kind together: under the
   // host's slow drift between speed regimes a pooled ratio moves less from
   // run to run than a median of per-pass rates, which jumps between regimes.
+  // The reported times are the wall times over the host's slowdown in the run.
+  const double slowdown = perfbench::host_slowdown(reference_s, reference_units,
+                                                   perfbench::ReferenceKernel::kNominalUnitS);
   const auto rate = [&](bool traced) {
     return wall_s[traced] > 0.0 ? perfbench::host_elems_per_s(elements[traced], wall_s[traced])
                                 : 0.0;
   };
   Metrics m;
   if (!args.trace) {
-    m.add("host_elems_per_s", rate(false), "elem/s");
+    m.add("host_elems_per_s", rate(false) * slowdown, "elem/s");
     m.add("sim_s", sim_s_sum / workload->sim_passes(), "s");
-    m.add("setup_s", median(setup_s), "s");
+    m.add("setup_s", median(setup_s) / slowdown, "s");
     m.add("peak_rss_mb", rss_mb, "MB");
   } else {
     const double untraced_rate = rate(false), traced_rate = rate(true);
-    add_layer_metrics(m, setup_layers, pass_layers, counts,
+    add_layer_metrics(m, setup_layers, pass_layers, counts, untraced_rate,
+                      reference_s / static_cast<double>(reference_units),
                       100.0 * ratio(untraced_rate - traced_rate, untraced_rate));
     if (!spans.write_trace_json(args.trace_out))
       std::fprintf(stderr, "hostbench: could not write %s\n", args.trace_out.c_str());
@@ -340,9 +362,11 @@ int run(const Args& args) {
   const perfbench::Quartiles q = perfbench::quartiles(pass_s); // at least two passes
   std::fprintf(stderr,
                "hostbench %s seed=%llu: %d set-ups, %zu timed passes (wall s: q1 %.4f median "
-               "%.4f q3 %.4f), %d/%d operations failed\n",
+               "%.4f q3 %.4f), host slowdown %.4f over %llu reference units, wall %.6g elem/s, "
+               "%d/%d operations failed\n",
                args.workload.c_str(), static_cast<unsigned long long>(args.options.seed), kSetups,
-               pass_s.size(), q.q1, q.q2, q.q3, failed, attempted);
+               pass_s.size(), q.q1, q.q2, q.q3, slowdown,
+               static_cast<unsigned long long>(reference_units), rate(false), failed, attempted);
   m.print_table(stderr);
   std::printf("{\"correct\": %s, \"attempted\": %d, \"failed\": %d, \"metrics\": %s}\n",
               failed == 0 ? "true" : "false", attempted, failed, m.json().c_str());

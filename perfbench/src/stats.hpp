@@ -49,6 +49,15 @@ inline double host_elems_per_s(std::uint64_t elements, double wall_s) {
   return static_cast<double>(elements) / wall_s;
 }
 
+// How much slower than nominal the host ran over a run: the reference
+// kernel's mean unit time in the run over its nominal unit time. The run's
+// wall times divided by it are the times reported.
+inline double host_slowdown(double reference_s, std::uint64_t units, double nominal_unit_s) {
+  if (units == 0 || !(reference_s > 0.0) || !(nominal_unit_s > 0.0))
+    throw std::invalid_argument("the reference kernel must have run in positive time");
+  return reference_s / static_cast<double>(units) / nominal_unit_s;
+}
+
 // Elements one training point all-reduces: its gradient elements, scaled
 // like the simulation scales them, times the measured iterations.
 inline std::uint64_t training_elements(std::uint64_t parameters, double size_scale,

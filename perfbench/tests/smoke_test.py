@@ -22,7 +22,7 @@ import run  # noqa: E402  (perfbench/run.py)
 
 # Units of host-measured per-layer metrics; every other one is an exact count
 # or a simulated-time percentile.
-HOST_UNITS = {"s", "ns", "%"}
+HOST_UNITS = {"s", "ns", "%", "elem/s"}
 
 
 def spec():

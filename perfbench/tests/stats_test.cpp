@@ -73,6 +73,10 @@ void test_definitions() {
   // host_elems_per_s: elements per host wall-second.
   check_near(perfbench::host_elems_per_s(1'000'000, 0.5), 2e6, "host_elems_per_s");
   check_throws([] { (void)perfbench::host_elems_per_s(1, 0.0); }, "zero wall time");
+  // host_slowdown: mean reference unit time over the nominal one.
+  check_near(perfbench::host_slowdown(0.9, 100, 0.006), 1.5, "host_slowdown");
+  check_throws([] { (void)perfbench::host_slowdown(0.0, 1, 0.006); }, "reference took no time");
+  check_throws([] { (void)perfbench::host_slowdown(1.0, 0, 0.006); }, "no reference units");
   // A training point counts gradient elements x size_scale x measured iterations.
   check(perfbench::training_elements(25'557'032, 1.0 / 128, 2) == 2 * 199'664,
         "training_elements rounds the scaled gradient");
