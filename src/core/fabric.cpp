@@ -234,9 +234,12 @@ void Fabric::fallback_timing(const std::vector<Time>& start, std::vector<Time>& 
   const FallbackPlan plan = collect_fallback_plan(total_elems);
   std::vector<Time> ps_tat;
   {
-    // The inner cluster's node ids collide with the fabric's; mask the ledger
-    // so replay-internal spans cannot pollute the job's attribution.
+    // The inner cluster's node ids collide with the fabric's and it runs on
+    // its own clock; mask the ledger and the trace sink so replay-internal
+    // spans and events cannot pollute the job's attribution or its trace
+    // (the fallback_begin event marks the replay instead).
     attr::SpanLedger::Scope mask(nullptr);
+    trace::TraceSink::Scope trace_mask(nullptr);
     collectives::StreamingPsCluster ps(fallback_ps_config(config_, workers_per_job_));
     ps_tat = ps.reduce_timing(plan.replay_elems);
   }
@@ -269,6 +272,7 @@ void Fabric::fallback_data(const std::vector<std::vector<std::int32_t>>& updates
   std::optional<collectives::StreamingPsCluster::DataReduceResult> psr_holder;
   {
     attr::SpanLedger::Scope mask(nullptr); // see fallback_timing
+    trace::TraceSink::Scope trace_mask(nullptr);
     collectives::StreamingPsCluster ps(fallback_ps_config(config_, workers_per_job_));
     psr_holder = ps.reduce_i32(compact);
   }
@@ -292,15 +296,6 @@ void Fabric::fallback_data(const std::vector<std::vector<std::int32_t>>& updates
 
 void Fabric::set_loss_prob(double p) {
   for (auto& l : links_) l->set_loss_prob(p);
-}
-
-net::Tracer& Fabric::enable_tracing() {
-  if (!tracer_) {
-    tracer_ = std::make_unique<net::Tracer>();
-    tracer_->set_capacity(1 << 20);
-    for (auto& l : links_) l->set_tracer(tracer_.get());
-  }
-  return *tracer_;
 }
 
 std::vector<Time> Fabric::reduce_timing(std::uint64_t total_elems) {

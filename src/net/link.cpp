@@ -39,19 +39,6 @@ std::uint16_t sat_u16(std::uint64_t v) {
   return v > 0xFFFFull ? 0xFFFFu : static_cast<std::uint16_t>(v);
 }
 
-const char* trace_name(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::Tx: return "enqueue";
-    case TraceEventKind::DropQueue: return "drop_queue";
-    case TraceEventKind::DropLoss: return "drop_loss";
-    case TraceEventKind::DropDown: return "drop_down";
-    case TraceEventKind::DropBurst: return "drop_burst";
-    case TraceEventKind::Corrupt: return "corrupt";
-    case TraceEventKind::Deliver: return "deliver";
-  }
-  return "?";
-}
-
 } // namespace
 
 Link::Link(sim::Simulation& simulation, const LinkConfig& config, Node& end_a, int port_a,
@@ -139,23 +126,10 @@ void Link::send_from(const Node& sender, Packet&& p, Time earliest_start) {
   transmit(sender, direction_from(sender), std::move(p), earliest_start);
 }
 
-void Link::trace(TraceEventKind kind, const Node& from, const Node& to, const Packet& p) {
+void Link::trace(const char* name, const Node& from, const Node& to, const Packet& p) {
   // Fully qualified: `trace` unqualified resolves to this member function.
-  switchml::trace::emit(switchml::trace::kCatLink, sim_.now(), from.id(), trace_name(kind),
-                        {"to", to.id()}, {"slot", p.idx}, {"bytes", p.wire_bytes()});
-  if (tracer_ == nullptr) return;
-  TraceEvent e;
-  e.at = sim_.now();
-  e.kind = kind;
-  e.from = from.id();
-  e.to = to.id();
-  e.pkt = p.kind;
-  e.wid = p.wid;
-  e.ver = p.ver;
-  e.idx = p.idx;
-  e.off = p.off;
-  e.wire_bytes = p.wire_bytes();
-  tracer_->record(e);
+  switchml::trace::emit(switchml::trace::kCatLink, sim_.now(), from.id(), name, {"to", to.id()},
+                        {"slot", p.idx}, {"bytes", p.wire_bytes()});
 }
 
 void Link::corrupt(Packet& p) {
@@ -220,7 +194,7 @@ void Link::set_down() {
   for (Direction* d : {&a_to_b_, &b_to_a_}) {
     for (const PendingDelivery& pd : d->pending) {
       ++d->counters.dropped_down;
-      trace(TraceEventKind::DropDown, from_of(*d), *d->to, pd.pkt);
+      trace("drop_down", from_of(*d), *d->to, pd.pkt);
       if (std::uint32_t owner = 0; attr::enabled() && chunk_owner(pd.pkt, owner))
         attr::transition_matching(owner, pd.pkt.idx, pd.pkt.off, attr::Component::kRtoStall, now);
     }
@@ -265,7 +239,7 @@ void Link::deliver_event(Direction& dir, std::uint64_t seq) {
   PendingDelivery d = std::move(*it);
   dir.pending.erase(it);
   ++dir.counters.delivered_packets;
-  trace(TraceEventKind::Deliver, from_of(dir), *dir.to, d.pkt);
+  trace("deliver", from_of(dir), *dir.to, d.pkt);
   dir.to->receive(std::move(d.pkt), dir.to_port);
 }
 
@@ -307,7 +281,7 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
   const std::uint64_t owner_off = p.off; // captured before corrupt() can flip it
   if (down_) {
     ++dir.counters.dropped_down;
-    trace(TraceEventKind::DropDown, sender, peer, p);
+    trace("drop_down", sender, peer, p);
     if (attributed)
       attr::transition_matching(owner, p.idx, owner_off, attr::Component::kRtoStall, now);
     return;
@@ -323,12 +297,12 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
   const std::int64_t wire = p.wire_bytes();
   if (dir.backlog_bytes + wire > config_.queue_limit_bytes) {
     ++dir.counters.dropped_queue;
-    trace(TraceEventKind::DropQueue, sender, peer, p);
+    trace("drop_queue", sender, peer, p);
     if (attributed)
       attr::transition_matching(owner, p.idx, owner_off, attr::Component::kRtoStall, now);
     return;
   }
-  trace(TraceEventKind::Tx, sender, peer, p);
+  trace("enqueue", sender, peer, p);
 
   ++dir.counters.tx_packets;
   dir.counters.tx_bytes += static_cast<std::uint64_t>(wire);
@@ -349,7 +323,7 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
 
   if (dir.rng.chance(config_.loss_prob) || (drop_filter_ && drop_filter_(sender, p))) {
     ++dir.counters.dropped_loss;
-    trace(TraceEventKind::DropLoss, sender, peer, p);
+    trace("drop_loss", sender, peer, p);
     // The bits left the port but never arrive; the chunk stalls from the
     // moment serialization ends until the retransmission timer acts.
     if (attributed)
@@ -369,7 +343,7 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
     }
     if (dir.burst_rng->chance(dir.burst_bad ? burst_->loss_bad : burst_->loss_good)) {
       ++dir.counters.dropped_burst;
-      trace(TraceEventKind::DropBurst, sender, peer, p);
+      trace("drop_burst", sender, peer, p);
       if (attributed)
         attr::transition_matching(owner, p.idx, owner_off, attr::Component::kRtoStall, finish);
       return;
@@ -378,7 +352,7 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
 
   if (dir.rng.chance(corrupt_prob_) || (corrupt_filter_ && corrupt_filter_(sender, p))) {
     corrupt(p);
-    trace(TraceEventKind::Corrupt, sender, peer, p);
+    trace("corrupt", sender, peer, p);
   }
 
   if (attributed)

@@ -29,11 +29,6 @@
 // `inert` count tracks queued keys that will never do observable work
 // (cancelled timers plus daemon events) so live() can answer "would the
 // simulation go quiet?" without scanning.
-//
-// Each queue carries a DOMAIN id and its own seq counter. This is the seam
-// for the planned per-rack sharded engine: one EventQueue per shard domain,
-// merged on (time, domain, seq), with no caller-visible change — callers
-// already go through the Simulation facade only.
 #pragma once
 
 #include <cstddef>
@@ -61,7 +56,7 @@ public:
     std::uint32_t gen = 0;
   };
 
-  explicit EventQueue(std::uint32_t domain = 0) : domain_(domain) {}
+  EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -112,8 +107,6 @@ public:
 
   // Earliest queued time; queue must be non-empty.
   [[nodiscard]] Time next_time() const { return heap_[0].at; }
-
-  [[nodiscard]] std::uint32_t domain() const { return domain_; }
 
   // Pops the earliest event, recycles its slot (invalidating refs to it),
   // and — for live events — invokes its closure IN PLACE in the slab after
@@ -262,7 +255,6 @@ private:
   std::uint64_t next_seq_ = 0;
   std::uint64_t inert_ = 0;
   std::uint32_t slot_count_ = 0;
-  std::uint32_t domain_ = 0;
 };
 
 } // namespace switchml::sim

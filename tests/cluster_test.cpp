@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <numeric>
+#include <string_view>
 
+#include "common/tracing.hpp"
 #include "core/allreduce.hpp"
 #include "core/cluster.hpp"
 #include "core/stream_manager.hpp"
@@ -385,25 +387,36 @@ TEST(AllReduce, Int8StochasticWireFormat) {
 }
 
 TEST(AllReduce, TraceRecordsProtocolTimeline) {
+  if ((trace::kCompiledMask & trace::kCatLink) == 0)
+    GTEST_SKIP() << "kCatLink compiled out of SWITCHML_TRACE_MASK";
+  trace::TraceSink sink(1u << 16, trace::kCatLink);
+  trace::TraceSink::Scope scope(&sink);
   ClusterConfig cfg = small_config(2);
   Cluster cluster(cfg);
-  auto& tracer = cluster.enable_tracing();
   std::vector<std::vector<std::int32_t>> updates(2, std::vector<std::int32_t>(64, 1));
   cluster.reduce_i32(updates);
-  // 2 chunks x (2 updates + 2 results), each with a TX and a DELIVER record.
-  std::size_t tx = 0, deliver = 0, updates_seen = 0, results_seen = 0;
-  for (const auto& e : tracer.events()) {
-    if (e.kind == net::TraceEventKind::Tx) ++tx;
-    if (e.kind == net::TraceEventKind::Deliver) ++deliver;
-    if (e.pkt == net::PacketKind::SmlUpdate) ++updates_seen;
-    if (e.pkt == net::PacketKind::SmlResult) ++results_seen;
+  // 2 chunks x 2 workers: one update up and one result down per worker and
+  // chunk, each logged once when enqueued and once when delivered. Direction
+  // tells them apart: worker->switch are updates, switch->worker are results.
+  const std::int64_t sw = cluster.agg_switch().id();
+  std::size_t update_enqueue = 0, update_deliver = 0, result_enqueue = 0, result_deliver = 0;
+  for (const trace::Event& e : sink.events()) {
+    ASSERT_STREQ(e.a0.key, "to");
+    const std::string_view name = e.name;
+    const bool up = e.a0.value == sw;
+    ASSERT_EQ(up, e.node != sw) << "link event between two workers";
+    if (name == "enqueue") ++(up ? update_enqueue : result_enqueue);
+    else if (name == "deliver") ++(up ? update_deliver : result_deliver);
+    else ADD_FAILURE() << "unexpected link event " << name << " on a lossless run";
   }
-  EXPECT_EQ(tx, deliver);
-  EXPECT_EQ(updates_seen, 2u * 2u * 2u);  // (TX + deliver) x 2 workers x 2 chunks
-  EXPECT_EQ(results_seen, 2u * 2u * 2u);
+  EXPECT_EQ(update_enqueue, 2u * 2u);
+  EXPECT_EQ(update_deliver, 2u * 2u);
+  EXPECT_EQ(result_enqueue, 2u * 2u);
+  EXPECT_EQ(result_deliver, 2u * 2u);
   // Events are time ordered.
-  for (std::size_t i = 1; i < tracer.events().size(); ++i)
-    EXPECT_LE(tracer.events()[i - 1].at, tracer.events()[i].at);
+  for (std::size_t i = 1; i < sink.events().size(); ++i)
+    EXPECT_LE(sink.events()[i - 1].ts, sink.events()[i].ts);
+  EXPECT_EQ(sink.total_drops(), 0u);
 }
 
 TEST(AllReduce, ResultsIdenticalAcrossWorkers) {

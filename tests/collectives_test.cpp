@@ -1,5 +1,5 @@
 // Baseline-collective tests: data correctness of ring, halving-doubling and
-// both parameter-server implementations (bulk and streaming), loss recovery,
+// the streaming parameter server (dedicated and colocated), loss recovery,
 // and the timing relationships Fig 4 is built on.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "collectives/baseline_cluster.hpp"
 #include "collectives/bounds.hpp"
 #include "collectives/halving_doubling.hpp"
-#include "collectives/ps.hpp"
 #include "collectives/ring.hpp"
 #include "collectives/streaming_ps.hpp"
 #include "core/profiles.hpp"
@@ -139,37 +138,6 @@ TEST(HalvingDoubling, FewerRoundsThanRingForSmallTensors) {
     t_hd = hd.run(static_cast<std::int64_t>(1024));
   }
   EXPECT_LT(t_hd, t_ring);
-}
-
-// ------------------------------------------------------------------- bulk PS
-
-TEST(BulkPs, DedicatedComputesExactSums) {
-  BaselineClusterConfig cfg = small_cfg(8); // 4 workers + 4 PS
-  cfg.nic = core::ps_host_nic(gbps(10));
-  BaselineCluster cluster(cfg);
-  auto buffers = random_buffers(4, 4096, 7);
-  const auto expect = float_sum(buffers);
-  ParameterServerAllReduce ps(cluster, 4, PsPlacement::Dedicated, core::ps_transport_mtu());
-  ps.run(buffers);
-  for (int w = 0; w < 4; ++w) EXPECT_EQ(buffers[static_cast<std::size_t>(w)], expect);
-}
-
-TEST(BulkPs, ColocatedComputesExactSums) {
-  BaselineClusterConfig cfg = small_cfg(4);
-  cfg.nic = core::ps_host_nic(gbps(10));
-  BaselineCluster cluster(cfg);
-  auto buffers = random_buffers(4, 4096, 8);
-  const auto expect = float_sum(buffers);
-  ParameterServerAllReduce ps(cluster, 4, PsPlacement::Colocated, core::ps_transport_mtu());
-  ps.run(buffers);
-  for (int w = 0; w < 4; ++w) EXPECT_EQ(buffers[static_cast<std::size_t>(w)], expect);
-}
-
-TEST(BulkPs, TooSmallClusterThrows) {
-  BaselineCluster cluster(small_cfg(4));
-  EXPECT_THROW(
-      ParameterServerAllReduce(cluster, 4, PsPlacement::Dedicated, core::ps_transport_mtu()),
-      std::invalid_argument);
 }
 
 // -------------------------------------------------------------- streaming PS

@@ -2,9 +2,13 @@
 // NIC core model, L2 switch forwarding/multicast, reliable transport.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
+#include "common/tracing.hpp"
 #include "net/l2switch.hpp"
 #include "net/link.hpp"
 #include "net/nic.hpp"
@@ -551,61 +555,116 @@ TEST(Reliable, OutOfOrderSegmentsAreBufferedAndOnlyTheHoleIsResent) {
   EXPECT_EQ(rx.buffered_segments(), 0u);
 }
 
-// ----------------------------------------------------------------- tracer
+// ------------------------------------------------------------ link tracing
+//
+// A link logs every packet outcome as one kCatLink event on the ambient
+// TraceSink: `node` is the sender, the "to" arg the receiver.
 
-TEST(Tracer, RecordsAndFiltersEvents) {
-  Tracer tr;
-  tr.set_filter([](const TraceEvent& e) { return e.kind != TraceEventKind::Deliver; });
-  TraceEvent tx;
-  tx.kind = TraceEventKind::Tx;
-  TraceEvent del;
-  del.kind = TraceEventKind::Deliver;
-  tr.record(tx);
-  tr.record(del);
-  ASSERT_EQ(tr.events().size(), 1u);
-  EXPECT_EQ(tr.events()[0].kind, TraceEventKind::Tx);
+struct LinkEvent {
+  std::string name;
+  std::uint32_t from = 0;
+  std::int64_t to = 0;
+  bool operator==(const LinkEvent&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const LinkEvent& e) {
+  return os << e.name << " " << e.from << "->" << e.to;
 }
 
-TEST(Tracer, CapacityBoundsMemory) {
-  Tracer tr;
-  tr.set_capacity(3);
-  for (int i = 0; i < 10; ++i) tr.record(TraceEvent{});
-  EXPECT_EQ(tr.events().size(), 3u);
-  EXPECT_EQ(tr.dropped_records(), 7u);
-  tr.clear();
-  EXPECT_TRUE(tr.events().empty());
-  EXPECT_EQ(tr.dropped_records(), 0u);
+std::vector<LinkEvent> link_events(const trace::TraceSink& sink) {
+  std::vector<LinkEvent> out;
+  for (const trace::Event& e : sink.events()) {
+    EXPECT_STREQ(e.a0.key, "to");
+    out.push_back({e.name, e.node, e.a0.value});
+  }
+  return out;
 }
 
 TEST(Tracer, LinkEmitsTxAndDeliverPairs) {
+  if ((trace::kCompiledMask & trace::kCatLink) == 0)
+    GTEST_SKIP() << "kCatLink compiled out of SWITCHML_TRACE_MASK";
+  trace::TraceSink sink(64, trace::kCatLink);
+  trace::TraceSink::Scope scope(&sink);
   sim::Simulation sim;
   SinkNode a{sim, 1, "a"}, b{sim, 2, "b"};
-  LinkConfig lc;
-  Link link(sim, lc, a, 0, b, 0, 1);
-  Tracer tr;
-  link.set_tracer(&tr);
+  Link link(sim, LinkConfig{}, a, 0, b, 0, 1);
   link.send_from(a, raw_packet(100, 1, 2));
+  link.send_from(b, raw_packet(100, 2, 1));
   sim.run();
-  ASSERT_EQ(tr.events().size(), 2u);
-  EXPECT_EQ(tr.events()[0].kind, TraceEventKind::Tx);
-  EXPECT_EQ(tr.events()[1].kind, TraceEventKind::Deliver);
-  EXPECT_EQ(tr.events()[0].from, 1u);
-  EXPECT_EQ(tr.events()[0].to, 2u);
+  const std::vector<LinkEvent> expect = {
+      {"enqueue", 1, 2}, {"enqueue", 2, 1}, {"deliver", 1, 2}, {"deliver", 2, 1}};
+  EXPECT_EQ(link_events(sink), expect);
+  ASSERT_EQ(sink.events().size(), 4u);
+  EXPECT_EQ(sink.events()[0].ts, 0);
+  EXPECT_GT(sink.events()[2].ts, 0);
 }
 
+// Table-driven: each fault outcome of a link, driven from both ends, emits
+// exactly its named event between the right endpoints.
 TEST(Tracer, LinkEmitsDropEvents) {
-  sim::Simulation sim;
-  SinkNode a{sim, 1, "a"}, b{sim, 2, "b"};
-  LinkConfig lc;
-  Link link(sim, lc, a, 0, b, 0, 1);
-  Tracer tr;
-  link.set_tracer(&tr);
-  link.set_drop_filter([](const Node&, const Packet&) { return true; });
-  link.send_from(a, raw_packet(100, 1, 2));
-  sim.run();
-  ASSERT_EQ(tr.events().size(), 2u); // TX then DROP-LOSS
-  EXPECT_EQ(tr.events()[1].kind, TraceEventKind::DropLoss);
-  EXPECT_TRUE(b.arrivals.empty());
+  if ((trace::kCompiledMask & trace::kCatLink) == 0)
+    GTEST_SKIP() << "kCatLink compiled out of SWITCHML_TRACE_MASK";
+  using Send = std::function<void()>;
+  struct Case {
+    const char* outcome;
+    std::function<void(sim::Simulation&, Link&, const Send&)> drive;
+    std::vector<const char*> expect;
+  };
+  const std::vector<Case> cases = {
+      {"queue overflow", // the queue holds one 154-byte packet, not two
+       [](sim::Simulation&, Link&, const Send& send) { send(); send(); },
+       {"enqueue", "drop_queue", "deliver"}},
+      {"bernoulli loss",
+       [](sim::Simulation&, Link& l, const Send& send) { l.set_loss_prob(1.0); send(); },
+       {"enqueue", "drop_loss"}},
+      {"drop filter",
+       [](sim::Simulation&, Link& l, const Send& send) {
+         l.set_drop_filter([](const Node&, const Packet&) { return true; });
+         send();
+       },
+       {"enqueue", "drop_loss"}},
+      {"sent while down",
+       [](sim::Simulation&, Link& l, const Send& send) { l.set_down(); send(); },
+       {"drop_down"}},
+      {"down in flight",
+       [](sim::Simulation& sim, Link& l, const Send& send) {
+         send();
+         sim.schedule_at(nsec(10), [&l] { l.set_down(); });
+       },
+       {"enqueue", "drop_down"}},
+      {"gilbert-elliott burst",
+       [](sim::Simulation&, Link& l, const Send& send) {
+         l.set_burst_loss({.p_enter = 1.0, .p_exit = 0.0, .loss_good = 0.0, .loss_bad = 1.0});
+         send();
+       },
+       {"enqueue", "drop_burst"}},
+      {"corrupt filter",
+       [](sim::Simulation&, Link& l, const Send& send) {
+         l.set_corrupt_filter([](const Node&, const Packet&) { return true; });
+         send();
+       },
+       {"enqueue", "corrupt", "deliver"}},
+  };
+  for (const Case& c : cases) {
+    for (const bool from_b : {false, true}) {
+      SCOPED_TRACE(std::string(c.outcome) + (from_b ? ", b->a" : ", a->b"));
+      trace::TraceSink sink(64, trace::kCatLink);
+      trace::TraceSink::Scope scope(&sink);
+      sim::Simulation sim;
+      SinkNode a{sim, 1, "a"}, b{sim, 2, "b"};
+      LinkConfig lc;
+      lc.queue_limit_bytes = 200;
+      Link link(sim, lc, a, 0, b, 0, 1);
+      SinkNode& sender = from_b ? b : a;
+      SinkNode& receiver = from_b ? a : b;
+      c.drive(sim, link,
+              [&] { link.send_from(sender, raw_packet(100, sender.id(), receiver.id())); });
+      sim.run();
+      std::vector<LinkEvent> expect;
+      for (const char* name : c.expect) expect.push_back({name, sender.id(), receiver.id()});
+      EXPECT_EQ(link_events(sink), expect);
+    }
+  }
 }
 
 } // namespace

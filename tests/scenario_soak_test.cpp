@@ -21,16 +21,24 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/attribution.hpp"
-#include "net/trace.hpp"
+#include "common/tracing.hpp"
 #include "scenario/scenario.hpp"
 
 namespace switchml::scenario {
 namespace {
+
+constexpr bool kLinkTraceCompiledIn =
+    (trace::kCompiledMask & (trace::kCatLink | trace::kCatFault)) ==
+    (trace::kCatLink | trace::kCatFault);
+
+// Events one faulted run may log before the sink fills (the largest of the
+// first 200 seeds logs ~15K); the downed-link check asserts none were dropped.
+constexpr std::size_t kTraceCapacity = 1u << 18;
 
 int soak_iters() {
   if (const char* env = std::getenv("SWITCHML_SOAK_ITERS")) {
@@ -69,26 +77,14 @@ void soak_one(std::uint64_t seed) {
   ASSERT_NO_THROW(loaded = load_string(doc)) << doc;
   EXPECT_EQ(to_json(loaded).dump(true), doc);
 
-  // Per-link delivery tracers on every one-shot-flapped link. fuzz_faults
-  // never stacks a second flap spec on the same link, so each window is the
-  // whole truth about that link's downtime.
-  std::vector<std::unique_ptr<net::Tracer>> tracers;
-  RunHooks hooks;
-  hooks.on_built = [&](core::Fabric& f) {
-    for (const core::LinkFlapSpec& spec : loaded.fabric.faults.flaps) {
-      auto tracer = std::make_unique<net::Tracer>();
-      tracer->set_filter(
-          [](const net::TraceEvent& e) { return e.kind == net::TraceEventKind::Deliver; });
-      f.link(spec.link).set_tracer(tracer.get());
-      tracers.push_back(std::move(tracer));
-    }
-  };
-
   attr::SpanLedger ledger;
+  // Link and fault events feed the downed-link check below.
+  trace::TraceSink sink(kTraceCapacity, trace::kCatLink | trace::kCatFault);
   RunResult faulted;
   {
     attr::SpanLedger::Scope scope(&ledger);
-    faulted = run(loaded, hooks);
+    trace::TraceSink::Scope trace_scope(&sink);
+    faulted = run(loaded);
   }
 
   // Termination + correctness: the run came back, every reduction's outputs
@@ -109,16 +105,40 @@ void soak_one(std::uint64_t seed) {
   EXPECT_EQ(ledger.max_residual_ns(), 0u);
   EXPECT_GT(ledger.chunks_closed(), 0u);
 
-  // Downed links deliver nothing: no Deliver event strictly inside any
+  // Downed links deliver nothing: no deliver event strictly inside any
   // one-shot window (endpoints excluded — a delivery scheduled for the same
-  // instant as the down edge may legally land first).
-  for (std::size_t i = 0; i < loaded.fabric.faults.flaps.size(); ++i) {
-    const core::LinkFlapSpec& spec = loaded.fabric.faults.flaps[i];
-    for (const net::TraceEvent& e : tracers[i]->events())
-      EXPECT_FALSE(e.at > spec.down_at && e.at < spec.up_at)
-          << "link " << spec.link << " delivered a packet at t=" << e.at
+  // instant as the down edge may legally land first). fuzz_faults never
+  // stacks a second flap spec on one link, so each window is the whole truth
+  // about that link's downtime. A full sink would make the check vacuous.
+  if (!kLinkTraceCompiledIn) return;
+  ASSERT_EQ(sink.total_drops(), 0u) << "raise kTraceCapacity";
+  const std::vector<core::LinkFlapSpec>& flaps = loaded.fabric.faults.flaps;
+  for (std::size_t i = 0; i < flaps.size(); ++i) {
+    const core::LinkFlapSpec& spec = flaps[i];
+    // The link's ends are the node/peer of the link_down event its flap
+    // fires at down_at. Flaps are armed in spec order, so same-instant downs
+    // fire in that order: skip one event per earlier spec sharing down_at.
+    std::size_t skip = 0;
+    for (std::size_t j = 0; j < i; ++j) skip += flaps[j].down_at == spec.down_at;
+    const trace::Event* down = nullptr;
+    for (const trace::Event& e : sink.events()) {
+      if (e.cat == trace::kCatFault && e.ts == spec.down_at &&
+          std::string_view(e.name) == "link_down" && skip-- == 0) {
+        down = &e;
+        break;
+      }
+    }
+    ASSERT_NE(down, nullptr) << "no link_down event for flap of link " << spec.link;
+    const std::int64_t end_a = down->node;
+    const std::int64_t end_b = down->a0.value;
+    for (const trace::Event& e : sink.events()) {
+      if (e.cat != trace::kCatLink || std::string_view(e.name) != "deliver") continue;
+      const bool on_link = (e.node == end_a && e.a0.value == end_b) ||
+                           (e.node == end_b && e.a0.value == end_a);
+      EXPECT_FALSE(on_link && e.ts > spec.down_at && e.ts < spec.up_at)
+          << "link " << spec.link << " delivered a packet at t=" << e.ts
           << " ns inside its down window [" << spec.down_at << ", " << spec.up_at << ")";
-    EXPECT_EQ(tracers[i]->dropped_records(), 0u);
+    }
   }
 }
 
@@ -128,6 +148,9 @@ TEST(ScenarioSoak, RandomizedFaultedRunsHoldEveryInvariant) {
     soak_one(static_cast<std::uint64_t>(i));
     if (HasFatalFailure()) break;
   }
+  if (!kLinkTraceCompiledIn)
+    GTEST_SKIP() << "downed-link check skipped: kCatLink or kCatFault compiled out of "
+                    "SWITCHML_TRACE_MASK (every other invariant ran)";
 }
 
 // The fuzzer must exercise all five topology shapes — a regression that
