@@ -68,12 +68,13 @@ Time HalvingDoublingAllReduce::execute(std::int64_t elems,
 
   int round = 0; // 0..levels-1 scatter, levels..2*levels-1 gather
   const int total_rounds = 2 * levels;
+  Time done_at = 0;
 
   std::function<void()> start_round = [&]() {
     state->senders.clear();
     state->receivers.clear();
     if (round >= total_rounds) {
-      sim.stop();
+      done_at = sim.now();
       return;
     }
     const bool scatter = round < levels;
@@ -151,9 +152,9 @@ Time HalvingDoublingAllReduce::execute(std::int64_t elems,
   };
 
   start_round();
-  sim.run();
+  sim.run(); // drains the trailing ACKs too, so the next run starts quiet
   if (round != total_rounds) throw std::runtime_error("HalvingDoubling: did not complete");
-  return sim.now() - t0;
+  return done_at - t0;
 }
 
 } // namespace switchml::collectives

@@ -15,6 +15,8 @@ class HalvingDoublingAllReduce {
 public:
   HalvingDoublingAllReduce(BaselineCluster& cluster, net::TransportProfile transport);
 
+  // Both return the TAT, from the call to the last receiver's completion,
+  // after draining the trailing ACKs (ring.hpp's run() contract).
   Time run(std::int64_t tensor_bytes);                 // timing-only
   Time run(std::vector<std::vector<float>>& buffers);  // data mode
 

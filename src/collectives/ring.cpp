@@ -16,6 +16,7 @@ struct RingAllReduce::Session {
   int total_rounds;
   int pending = 0;
   bool finished = false;
+  Time done_at = 0; // when the last round's last receiver finished
   std::vector<std::unique_ptr<net::ReliableSender>> senders;
   std::vector<std::unique_ptr<net::ReliableReceiver>> receivers;
 
@@ -51,6 +52,7 @@ struct RingAllReduce::Session {
     const int n = cluster.n_hosts();
     if (round >= total_rounds) {
       finished = true;
+      done_at = sim.now();
       if (on_done) on_done();
       return;
     }
@@ -144,9 +146,9 @@ Time RingAllReduce::run(std::int64_t tensor_bytes) {
   auto& sim = cluster_.simulation();
   const Time t0 = sim.now();
   Session& s = launch(tensor_bytes / 4, nullptr, nullptr);
-  sim.run();
+  sim.run(); // drains the trailing ACKs too, so the next run starts quiet
   if (!s.finished) throw std::runtime_error("RingAllReduce: did not complete");
-  return sim.now() - t0;
+  return s.done_at - t0;
 }
 
 Time RingAllReduce::run(std::vector<std::vector<float>>& buffers) {
@@ -155,9 +157,9 @@ Time RingAllReduce::run(std::vector<std::vector<float>>& buffers) {
   auto& sim = cluster_.simulation();
   const Time t0 = sim.now();
   Session& s = launch(static_cast<std::int64_t>(buffers.front().size()), &buffers, nullptr);
-  sim.run();
+  sim.run(); // drains the trailing ACKs too, so the next run starts quiet
   if (!s.finished) throw std::runtime_error("RingAllReduce: did not complete");
-  return sim.now() - t0;
+  return s.done_at - t0;
 }
 
 void RingAllReduce::start_async(std::int64_t tensor_bytes, std::function<void()> on_done) {

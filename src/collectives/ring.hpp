@@ -27,7 +27,8 @@ public:
   RingAllReduce& operator=(const RingAllReduce&) = delete;
 
   // Timing-only run: reduces a tensor of `tensor_bytes` across all hosts and
-  // returns the wall-clock duration (TAT).
+  // returns the TAT, from the call to the last receiver's completion. The
+  // trailing ACKs drain before run() returns but are not part of the TAT.
   Time run(std::int64_t tensor_bytes);
 
   // Data-mode run: buffers[i] is host i's contribution and is replaced by

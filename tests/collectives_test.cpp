@@ -97,7 +97,38 @@ TEST(Ring, LossInflatesCompletionTime) {
   EXPECT_GT(lossy, clean);
 }
 
+// run() reports the moment the last receiver finished, not the moment the
+// queue drained: the trailing ACKs still in flight are not part of the TAT.
+TEST(Ring, RunReturnsCompletionTimeOfTheReduction) {
+  const std::int64_t bytes = 256 * 1024;
+  Time ran;
+  {
+    BaselineCluster cluster(small_cfg(4));
+    RingAllReduce ring(cluster, core::gloo_tcp(gbps(10)).transport);
+    ran = ring.run(bytes);
+  }
+  BaselineCluster cluster(small_cfg(4));
+  RingAllReduce ring(cluster, core::gloo_tcp(gbps(10)).transport);
+  Time done_at = -1;
+  ring.start_async(bytes, [&] { done_at = cluster.simulation().now(); });
+  cluster.simulation().run();
+  EXPECT_EQ(ran, done_at);
+}
+
 // ---------------------------------------------------------- halving-doubling
+
+// run() drains the trailing ACK traffic before it returns, so nothing of one
+// reduction spills into the next on the same cluster.
+TEST(HalvingDoubling, BackToBackRunsReturnTheSameTat) {
+  BaselineCluster cluster(small_cfg(8));
+  HalvingDoublingAllReduce hd(cluster, core::gloo_tcp(gbps(10)).transport);
+  const std::int64_t bytes = 256 * 1024;
+  const Time first = hd.run(bytes);
+  const Time second = hd.run(bytes);
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(cluster.simulation().pending_events(), 0u);
+}
+
 
 TEST(HalvingDoubling, ComputesExactSums) {
   BaselineCluster cluster(small_cfg(8));
