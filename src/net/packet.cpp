@@ -42,30 +42,29 @@ std::uint32_t Packet::wire_bytes() const {
   return kAckWireBytes;
 }
 
-std::uint32_t Packet::compute_checksum() const {
-  // FNV-1a over the protocol-relevant header fields and the payload.
-  std::uint32_t h = 2166136261u;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<std::uint32_t>(v & 0xFF);
-      h *= 16777619u;
-      v >>= 8;
-    }
+std::uint64_t Packet::compute_checksum() const {
+  // FNV-style xor-multiply over packed 64-bit words: the protocol-relevant
+  // header fields (each inside one word) and the payload length, then the
+  // payload two int32 values per word. For a fixed word each step is a
+  // bijection of h (xor, then multiply by an odd constant), so a change
+  // confined to one word always changes the result.
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::uint64_t w) { h = (h ^ w) * 0x9e3779b97f4a7c15ull; };
+  const auto u32 = [](std::int32_t v) {
+    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(v));
   };
-  mix(static_cast<std::uint64_t>(kind));
-  mix(wid);
-  mix(ver);
-  mix(idx);
+  mix(static_cast<std::uint64_t>(kind) | std::uint64_t{wid} << 8 | std::uint64_t{ver} << 24 |
+      std::uint64_t{job} << 32 | std::uint64_t{sync_seen} << 40);
+  mix(idx | std::uint64_t{elem_count} << 32);
   mix(off);
-  mix(job);
-  mix(elem_count);
-  mix(epoch);
-  mix(sync_count0);
-  mix(sync_count1);
+  mix(epoch | std::uint64_t{sync_count0} << 32);
+  mix(sync_count1 | static_cast<std::uint64_t>(values.size()) << 32);
   mix(sync_off0);
   mix(sync_off1);
-  mix(sync_seen);
-  for (std::int32_t v : values) mix(static_cast<std::uint32_t>(v));
+  const std::size_t n = values.size();
+  std::size_t i = 0;
+  for (; i + 1 < n; i += 2) mix(u32(values[i]) | u32(values[i + 1]) << 32);
+  if (i < n) mix(u32(values[i]));
   return h;
 }
 

@@ -134,14 +134,14 @@ struct Packet {
   // sender; verify() recomputes at the receiver. Wire corruption (bit flips
   // injected by Link::set_corrupt_filter) makes verify() fail, and the
   // receiver treats the packet as lost.
-  std::uint32_t checksum = 0;
+  std::uint64_t checksum = 0;
   void seal() { checksum = compute_checksum(); }
   [[nodiscard]] bool verify() const { return checksum == compute_checksum(); }
 
   [[nodiscard]] std::uint32_t wire_bytes() const;
 
 private:
-  [[nodiscard]] std::uint32_t compute_checksum() const;
+  [[nodiscard]] std::uint64_t compute_checksum() const;
 };
 
 const char* to_string(PacketKind k);

@@ -155,8 +155,11 @@ void ReliableSender::pump() {
 }
 
 void ReliableSender::arm_rto() {
-  timer_.cancel();
-  timer_ = host_.simulation().schedule_timer(rto_, [this] { on_timeout(); });
+  // Re-armed on every pump: move the one queued key rather than leave a
+  // tombstone per window advance.
+  sim::Simulation& sim = host_.simulation();
+  const auto fire = [this] { on_timeout(); };
+  if (!timer_.rearm(sim.now() + rto_, fire)) timer_ = sim.schedule_timer(rto_, fire);
 }
 
 void ReliableSender::on_timeout() {

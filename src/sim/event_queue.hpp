@@ -29,6 +29,28 @@
 // `inert` count tracks queued keys that will never do observable work
 // (cancelled timers plus daemon events) so live() can answer "would the
 // simulation go quiet?" without scanning.
+//
+// LAZY RE-ARM. A retransmission timer is pushed back on every packet its
+// owner sends. Cancel + push would leave one tombstone per packet queued
+// until its old deadline (on a 100 G rack with a 1 ms RTO, ~254K keys for a
+// 1M-element reduction). rearm() instead moves a timer whose key is still
+// queued — armed or cancelled — to a later deadline in O(1): it swaps in the
+// new closure and records a DUE key {at, seq} in the slab, taking `seq` from
+// the counter at re-arm time exactly as the push would have. The queued key
+// stays where it is. When it pops behind its record's due key, pop_and_run
+// re-keys the root at the due key and sifts it down; that pop runs nothing
+// and does not count as an event. Ordering is unchanged by construction:
+//   - the queued key (t0, s0) precedes the due key (t1, s1), since t1 >= t0
+//     and s1 > s0, so it pops first and re-keys in time;
+//   - between those pops the heap differs from the cancel + push heap only
+//     by a key that has not popped yet, so every other pop is the same;
+//   - the due key carries the seq the fresh push would have had, so its
+//     place among same-time events is the push's place.
+// A re-arm to a time before the queued key falls back to cancel + push
+// (a key cannot move earlier without heap surgery). The seq counter's
+// reset on drain cannot strand a reservation: a reserved seq lives in a
+// record whose key is queued, so the heap is not empty while one is
+// outstanding, and re-keying replaces the root without popping.
 #pragma once
 
 #include <cstddef>
@@ -89,12 +111,42 @@ public:
     return true;
   }
 
+  // Lazy re-arm (see the header comment): points the timer `r` refers to at
+  // `fn`, due at `at`, reserving the seq a fresh push would take now. Works
+  // on armed and cancelled timers (a cancelled one revives) as long as the
+  // record's key is still queued; a daemon stays a daemon. A deadline before
+  // the queued key falls back to cancel + push and updates `r`. Returns
+  // false, and does nothing, for a stale ref (its key has popped).
+  template <typename F>
+  bool rearm(Ref& r, Time at, F&& fn) {
+    if (r.slot == kNoSlot) return false;
+    Record& rec = record(r.slot);
+    if (rec.gen != r.gen) return false;
+    if (at < rec.queued_at) {
+      const bool daemon = rec.daemon;
+      cancel(r);
+      r = push_timer(at, std::forward<F>(fn), daemon);
+      return true;
+    }
+    assign(rec, std::forward<F>(fn));
+    if (!rec.armed) {
+      rec.armed = true;
+      inert_ -= static_cast<std::uint64_t>(!rec.daemon);
+    }
+    rec.due_at = at;
+    rec.due_order = take_order(r.slot);
+    rec.moved = true;
+    return true;
+  }
+
   [[nodiscard]] bool armed(Ref r) const {
     return r.slot != kNoSlot && record(r.slot).gen == r.gen && record(r.slot).armed;
   }
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  // Most keys ever queued at once (a deterministic cost proxy).
+  [[nodiscard]] std::size_t peak_size() const { return peak_; }
 
   // Queued events that will still do observable work (excludes cancelled
   // timers and daemons). Throws if the inert bookkeeping ever drifts past
@@ -116,13 +168,22 @@ public:
   // slot is withheld from the free list until the closure returns, so
   // callbacks scheduling new events (even re-arming themselves) cannot
   // overwrite the running closure. Returns true iff a live event ran;
-  // cancelled events are skipped without invoking `on_live`.
+  // cancelled events are skipped without invoking `on_live`, and a re-armed
+  // timer's early key is re-keyed at its due key without invoking it.
   template <typename OnLive>
   bool pop_and_run(OnLive&& on_live) {
     const Key top = heap_[0];
-    sift_pop();
     const auto slot = static_cast<std::uint32_t>(top.order & kSlotMask);
     Record& rec = record(slot);
+    if (rec.moved) {
+      rec.moved = false;
+      if (rec.armed) {
+        rec.queued_at = rec.due_at;
+        sift_down(Key{rec.due_at, rec.due_order}); // replaces the root in place
+        return false;
+      }
+    }
+    sift_pop();
     const bool live = rec.armed;
     inert_ -= static_cast<std::uint64_t>(!live | rec.daemon);
     ++rec.gen; // the slot's one queued key is gone: refs die, slot recycles
@@ -158,9 +219,13 @@ private:
 
   struct Record {
     EventFn fn;
+    Time queued_at = 0;          // time of this record's one queued key
+    Time due_at = 0;             // re-armed deadline (valid while `moved`)
+    std::uint64_t due_order = 0; // its reserved (seq << 24) | slot
     std::uint32_t gen = 0;
     bool armed = false;
     bool daemon = false;
+    bool moved = false; // re-armed: the queued key is earlier than the due key
   };
 
   [[nodiscard]] Record& record(std::uint32_t slot) {
@@ -171,19 +236,30 @@ private:
   }
 
   template <typename F>
-  std::uint32_t push_record(Time at, F&& fn, bool daemon) {
-    const std::uint32_t slot = acquire_slot();
-    Record& rec = record(slot);
+  static void assign(Record& rec, F&& fn) {
     if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
       rec.fn = std::forward<F>(fn);
     } else {
       rec.fn.emplace(std::forward<F>(fn)); // built in place: no relocation
     }
+  }
+
+  // Takes the next seq for `slot`'s key.
+  std::uint64_t take_order(std::uint32_t slot) {
+    if (next_seq_ >= kMaxSeq) throw_seq_overflow();
+    return (next_seq_++ << kSlotBits) | slot;
+  }
+
+  template <typename F>
+  std::uint32_t push_record(Time at, F&& fn, bool daemon) {
+    const std::uint32_t slot = acquire_slot();
+    Record& rec = record(slot);
+    assign(rec, std::forward<F>(fn));
     rec.armed = true;
     rec.daemon = daemon;
+    rec.queued_at = at;
     inert_ += static_cast<std::uint64_t>(daemon);
-    if (next_seq_ >= kMaxSeq) throw_seq_overflow();
-    sift_push(Key{at, (next_seq_++ << kSlotBits) | slot});
+    sift_push(Key{at, take_order(slot)});
     return slot;
   }
 
@@ -214,6 +290,7 @@ private:
   void sift_push(Key k) {
     std::size_t i = heap_.size();
     heap_.push_back(k);
+    if (heap_.size() > peak_) peak_ = heap_.size();
     while (i > 0) {
       const std::size_t parent = (i - 1) / kArity;
       if (!earlier(k, heap_[parent])) break;
@@ -226,8 +303,12 @@ private:
   void sift_pop() {
     const Key last = heap_.back();
     heap_.pop_back();
+    if (!heap_.empty()) sift_down(last);
+  }
+
+  // Places `last` at the root's position and sifts it down.
+  void sift_down(Key last) {
     const std::size_t n = heap_.size();
-    if (n == 0) return;
     std::size_t i = 0;
     for (;;) {
       const std::size_t first = i * kArity + 1;
@@ -254,6 +335,7 @@ private:
   std::vector<Key> heap_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t inert_ = 0;
+  std::size_t peak_ = 0;
   std::uint32_t slot_count_ = 0;
 };
 

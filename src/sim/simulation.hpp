@@ -24,9 +24,11 @@ using switchml::Time;
 
 class Simulation;
 
-// Handle to a scheduled event that may be cancelled (used for protocol
-// retransmission timers). Cancellation is O(1): the closure is destroyed
-// immediately in the slab and the queued heap key pops later as a no-op.
+// Handle to a scheduled event that may be cancelled or re-armed (used for
+// protocol retransmission timers). Cancellation is O(1): the closure is
+// destroyed immediately in the slab and the queued heap key pops later as a
+// no-op. Re-arming is O(1) too: it moves the timer's deadline without
+// queueing another key (see EventQueue::rearm).
 //
 // The handle is a (slot, generation) ref into the EventQueue's slab rather
 // than a shared_ptr control block, so scheduling a timer does no heap
@@ -41,6 +43,17 @@ public:
     if (queue_ != nullptr) queue_->cancel(ref_);
   }
   [[nodiscard]] bool armed() const { return queue_ != nullptr && queue_->armed(ref_); }
+
+  // Points this timer at `fn`, due at absolute time `at` (>= now), exactly
+  // as cancel() followed by a fresh schedule_timer would — same dispatch
+  // order, same live/inert accounting — but without leaving a tombstone.
+  // Works while the timer's key is still queued, whether it is armed or was
+  // cancelled. Returns false and does nothing for a stale handle (never
+  // armed, fired, or cancelled and reclaimed): schedule a fresh timer then.
+  template <typename F>
+  bool rearm(Time at, F&& fn) {
+    return queue_ != nullptr && queue_->rearm(ref_, at, std::forward<F>(fn));
+  }
 
 private:
   friend class Simulation;
@@ -102,7 +115,11 @@ public:
   [[nodiscard]] bool stopped() const { return stopped_; }
 
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
+  // Queued heap keys, including cancelled timers' tombstones.
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  // Most keys ever queued at once: a deterministic proxy for the engine's
+  // memory and per-event cost (heap depth, slab records).
+  [[nodiscard]] std::size_t peak_pending_events() const { return queue_.peak_size(); }
 
   // Queued events that will still do observable work: excludes cancelled
   // timers (queued but inert) and daemon events. Zero means the simulation

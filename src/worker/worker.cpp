@@ -81,16 +81,7 @@ std::uint32_t Worker::in_flight_slots() const {
   return n;
 }
 
-void Worker::drain_wire_ledger() {
-  // Strictly-before so a sample at time T counts wire activity in [0, T),
-  // matching half-open bucketing when samples land on period boundaries.
-  const Time now = sim_.now();
-  auto kept = std::remove_if(wire_pending_.begin(), wire_pending_.end(),
-                             [now](Time t) { return t < now; });
-  counters_.updates_wired +=
-      static_cast<std::uint64_t>(std::distance(kept, wire_pending_.end()));
-  wire_pending_.erase(kept, wire_pending_.end());
-}
+void Worker::drain_wire_ledger() { counters_.updates_wired += wire_ledger_.drain(sim_.now()); }
 
 void Worker::rtt_sample(Time sample) {
   rtt_.add(to_usec(sample));
@@ -199,7 +190,7 @@ void Worker::send_update(std::uint32_t slot_index, bool retransmission) {
   const Time wire_time = channel_->tx_ready(core_of(slot_index), p);
   slot.sent_at = sim_.now(); // RTT is measured end-to-end at the app layer
   drain_wire_ledger();       // keeps the pending-wire ledger bounded
-  wire_pending_.push_back(wire_time);
+  wire_ledger_.add(wire_time);
   trace::emit(trace::kCatWorker, sim_.now(), id(), retransmission ? "retransmit" : "send",
               {"slot", slot_index}, {"off", static_cast<std::int64_t>(slot.off)},
               {"ver", slot_ver_[slot_index]});
@@ -213,34 +204,39 @@ void Worker::arm_timer(std::uint32_t slot_index) {
   // inflate the timers of healthy slots.
   const int shift = std::min(slot.backoff, 10);
   const Time rto = std::min<Time>(rto_ << shift, config_.rto_max);
-  slot.timer.cancel();
-  slot.timer = sim_.schedule_timer(rto, [this, slot_index] {
-    Slot& s = slots_[slot_index];
-    if (!s.active || aborted_) return;
-    ++counters_.timeouts;
-    if (s.retries++ == 0) s.stall_started_at = sim_.now();
-    trace::emit(trace::kCatWorker, sim_.now(), id(), "timeout", {"slot", slot_index},
-                {"off", static_cast<std::int64_t>(s.off)}, {"retries", s.retries});
-    // Final escalation stage: the retry budget is spent, the switch is
-    // presumed gone. No further transmission; the dead handler decides.
-    if (config_.dead_after > 0 && s.retries >= config_.dead_after) {
-      declare_switch_dead();
-      return;
-    }
-    // Backoff applies in fixed-RTO mode too: a switch outage would otherwise
-    // have every slot hammering at the base RTO for the whole dead_after
-    // budget (adaptive mode always backed off; fixed mode is the bugfix).
-    ++s.backoff;
-    // Algorithm 4 timeout handler: resend the SAME (idx, ver, off) packet.
-    send_update(slot_index, /*retransmission=*/true);
-    // Middle escalation stage: ride a slot-state probe on every timeout past
-    // the sync_after budget — a plain retransmission cannot repair the
-    // restart-races-lost-result stranding, but the probe's answer can.
-    if (config_.sync_after > 0 && s.retries >= config_.sync_after) {
-      if (s.retries == config_.sync_after) ++recovery_.escalations;
-      send_sync_query(slot_index);
-    }
-  });
+  // One queued key per slot: moving the deadline (even of a timer cancelled
+  // by the previous result) queues nothing; a fresh timer only after the
+  // old key has popped, or when the adaptive RTO shrank below it.
+  const auto fire = [this, slot_index] { on_slot_timeout(slot_index); };
+  if (!slot.timer.rearm(sim_.now() + rto, fire)) slot.timer = sim_.schedule_timer(rto, fire);
+}
+
+void Worker::on_slot_timeout(std::uint32_t slot_index) {
+  Slot& s = slots_[slot_index];
+  if (!s.active || aborted_) return;
+  ++counters_.timeouts;
+  if (s.retries++ == 0) s.stall_started_at = sim_.now();
+  trace::emit(trace::kCatWorker, sim_.now(), id(), "timeout", {"slot", slot_index},
+              {"off", static_cast<std::int64_t>(s.off)}, {"retries", s.retries});
+  // Final escalation stage: the retry budget is spent, the switch is
+  // presumed gone. No further transmission; the dead handler decides.
+  if (config_.dead_after > 0 && s.retries >= config_.dead_after) {
+    declare_switch_dead();
+    return;
+  }
+  // Backoff applies in fixed-RTO mode too: a switch outage would otherwise
+  // have every slot hammering at the base RTO for the whole dead_after
+  // budget (adaptive mode always backed off; fixed mode is the bugfix).
+  ++s.backoff;
+  // Algorithm 4 timeout handler: resend the SAME (idx, ver, off) packet.
+  send_update(slot_index, /*retransmission=*/true);
+  // Middle escalation stage: ride a slot-state probe on every timeout past
+  // the sync_after budget — a plain retransmission cannot repair the
+  // restart-races-lost-result stranding, but the probe's answer can.
+  if (config_.sync_after > 0 && s.retries >= config_.sync_after) {
+    if (s.retries == config_.sync_after) ++recovery_.escalations;
+    send_sync_query(slot_index);
+  }
 }
 
 void Worker::receive(net::Packet&& p, int /*port*/) {

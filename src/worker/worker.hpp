@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <queue>
 #include <span>
 #include <vector>
 
@@ -34,6 +35,29 @@
 #include "net/node.hpp"
 
 namespace switchml::worker {
+
+// Wire times of packets handed to the NIC but not yet serialized onto the
+// link. Each NIC core has its own TX queue, so times arrive out of order
+// across cores; a min-heap lets drain() retire the finished ones in
+// O(log n) each instead of scanning every pending time on every send.
+class WireLedger {
+public:
+  void add(Time wire_time) { pending_.push(wire_time); }
+
+  // Removes the wire times strictly before `now` and returns how many there
+  // were (a sample at T counts wire activity in [0, T), matching half-open
+  // bucketing when samples land on period boundaries).
+  std::uint64_t drain(Time now) {
+    std::uint64_t n = 0;
+    for (; !pending_.empty() && pending_.top() < now; ++n) pending_.pop();
+    return n;
+  }
+
+  [[nodiscard]] std::size_t size() const { return pending_.size(); }
+
+private:
+  std::priority_queue<Time, std::vector<Time>, std::greater<>> pending_;
+};
 
 struct WorkerConfig {
   std::uint16_t wid = 0;
@@ -229,6 +253,7 @@ private:
   void observe_epoch(std::uint32_t epoch);
   void declare_switch_dead();
   void arm_timer(std::uint32_t slot_index);
+  void on_slot_timeout(std::uint32_t slot_index);
   void rtt_sample(Time sample);
   void drain_wire_ledger();
   [[nodiscard]] std::uint32_t chunk_elems(std::uint64_t off) const;
@@ -266,11 +291,9 @@ private:
   bool aborted_ = false;
   bool dead_declared_ = false;
   std::function<void()> on_switch_dead_;
-  // Wire times of packets handed to the NIC but not yet serialized onto the
-  // link; drained lazily (like Link's occupancy ledger) to advance
-  // updates_wired without per-packet simulator events. Bounded by the
-  // in-flight window.
-  std::vector<Time> wire_pending_;
+  // Drained lazily (like Link's occupancy ledger) to advance updates_wired
+  // without per-packet simulator events. Bounded by the in-flight window.
+  WireLedger wire_ledger_;
   Summary rtt_;
   Histogram rtt_ns_;
   Histogram completion_ns_;

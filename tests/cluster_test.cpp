@@ -180,6 +180,20 @@ TEST_P(LossSweep, AggregationIsExactUnderUniformLoss) {
 INSTANTIATE_TEST_SUITE_P(LossRates, LossSweep,
                          ::testing::Values(0.0001, 0.001, 0.01, 0.05, 0.10));
 
+TEST(Cluster, RackReductionQueuesOneKeyPerRetransmissionTimer) {
+  // Every update packet pushes its slot's RTO back. The reduction takes
+  // 0.57 ms of sim time against a 1 ms RTO, so a tombstone per re-arm would
+  // stay queued to the end (254,096 keys at peak); one key per slot timer
+  // plus the in-flight packets stays within 8,192.
+  ClusterConfig cfg = ClusterConfig::for_rate(gbps(100), 8);
+  cfg.timing_only = true;
+  Cluster cluster(cfg);
+  const std::vector<Time> tats = cluster.reduce_timing(1'000'000);
+  ASSERT_EQ(tats.size(), 8u);
+  EXPECT_GT(cluster.simulation().events_executed(), 100'000u);
+  EXPECT_LE(cluster.simulation().peak_pending_events(), 8192u);
+}
+
 TEST(ClusterLoss, ConsecutiveLossyReductionsStayCorrect) {
   ClusterConfig cfg = small_config(4);
   cfg.loss_prob = 0.02;

@@ -6,6 +6,8 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/tracing.hpp"
@@ -54,21 +56,95 @@ TEST(Packet, SegmentAndAckSizes) {
   EXPECT_EQ(ack.wire_bytes(), 64u);
 }
 
+// Flips bit `b` of an integer field in place.
+template <typename T>
+void flip_bit(T& field, int b) {
+  if constexpr (std::is_enum_v<T>) {
+    auto raw = static_cast<std::underlying_type_t<T>>(field);
+    flip_bit(raw, b);
+    field = static_cast<T>(raw);
+  } else {
+    using U = std::make_unsigned_t<T>;
+    field = static_cast<T>(static_cast<U>(field) ^ static_cast<U>(U{1} << b));
+  }
+}
+
 TEST(Packet, ChecksumDetectsPayloadAndHeaderMutations) {
-  Packet p;
-  p.kind = PacketKind::SmlUpdate;
-  p.wid = 3;
-  p.idx = 7;
-  p.off = 1234;
-  p.values = {1, -2, 3};
-  p.seal();
-  EXPECT_TRUE(p.verify());
-  p.values[1] ^= 0x10;
-  EXPECT_FALSE(p.verify());
-  p.values[1] ^= 0x10;
-  EXPECT_TRUE(p.verify());
-  p.off ^= 1;
-  EXPECT_FALSE(p.verify());
+  Packet base;
+  base.kind = PacketKind::SmlSyncResponse;
+  base.wid = 3;
+  base.ver = 1;
+  base.idx = 7;
+  base.off = 1234;
+  base.job = 2;
+  base.elem_count = 5;
+  base.epoch = 9;
+  base.sync_count0 = 4;
+  base.sync_count1 = 6;
+  base.sync_off0 = 320;
+  base.sync_off1 = kNoClaimOff;
+  base.sync_seen = 2;
+  base.values = {1, -2, 3, -4, 5};
+  base.seal();
+  ASSERT_TRUE(base.verify());
+
+  // Every checksummed field, with its width in bits: a single-bit flip
+  // anywhere in it must fail verify().
+  struct Field {
+    const char* name;
+    int bits;
+    std::function<void(Packet&, int)> flip;
+  };
+  const std::vector<Field> covered = {
+      {"kind", 8, [](Packet& p, int b) { flip_bit(p.kind, b); }},
+      {"wid", 16, [](Packet& p, int b) { flip_bit(p.wid, b); }},
+      {"ver", 8, [](Packet& p, int b) { flip_bit(p.ver, b); }},
+      {"idx", 32, [](Packet& p, int b) { flip_bit(p.idx, b); }},
+      {"off", 64, [](Packet& p, int b) { flip_bit(p.off, b); }},
+      {"job", 8, [](Packet& p, int b) { flip_bit(p.job, b); }},
+      {"elem_count", 32, [](Packet& p, int b) { flip_bit(p.elem_count, b); }},
+      {"epoch", 32, [](Packet& p, int b) { flip_bit(p.epoch, b); }},
+      {"sync_count0", 32, [](Packet& p, int b) { flip_bit(p.sync_count0, b); }},
+      {"sync_count1", 32, [](Packet& p, int b) { flip_bit(p.sync_count1, b); }},
+      {"sync_off0", 64, [](Packet& p, int b) { flip_bit(p.sync_off0, b); }},
+      {"sync_off1", 64, [](Packet& p, int b) { flip_bit(p.sync_off1, b); }},
+      {"sync_seen", 8, [](Packet& p, int b) { flip_bit(p.sync_seen, b); }},
+      // Even and odd index: the low and high half of a payload word, and the
+      // unpaired last element.
+      {"values[0]", 32, [](Packet& p, int b) { flip_bit(p.values[0], b); }},
+      {"values[1]", 32, [](Packet& p, int b) { flip_bit(p.values[1], b); }},
+      {"values[4]", 32, [](Packet& p, int b) { flip_bit(p.values[4], b); }},
+  };
+  for (const Field& f : covered) {
+    for (int b = 0; b < f.bits; ++b) {
+      Packet p = base;
+      f.flip(p, b);
+      EXPECT_FALSE(p.verify()) << f.name << " bit " << b;
+      f.flip(p, b);
+      EXPECT_TRUE(p.verify()) << f.name << " bit " << b << " restored";
+    }
+  }
+
+  // Payload length is covered too: a dropped or appended element fails.
+  Packet shorter = base;
+  shorter.values.pop_back();
+  EXPECT_FALSE(shorter.verify());
+  Packet longer = base;
+  longer.values.push_back(0);
+  EXPECT_FALSE(longer.verify());
+
+  // Routing and per-hop metadata sit outside the end-to-end check.
+  const std::vector<std::pair<const char*, std::function<void(Packet&)>>> excluded = {
+      {"dst", [](Packet& p) { p.dst ^= 0x5; }},
+      {"transport", [](Packet& p) { p.transport = TransportKind::kRdmaUc; }},
+      {"int_mode", [](Packet& p) { p.int_mode = inttel::kModeOnWire; }},
+      {"int_stack", [](Packet& p) { p.int_stack = {1, 2, 3, 4}; }},
+  };
+  for (const auto& [name, mutate] : excluded) {
+    Packet p = base;
+    mutate(p);
+    EXPECT_TRUE(p.verify()) << name;
+  }
 }
 
 // Collects delivered packets with timestamps.

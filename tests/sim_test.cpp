@@ -1,7 +1,8 @@
 // Unit tests for the discrete-event engine: ordering, timers, cancellation,
-// EventFn closure semantics, determinism of named RNG streams, and a
-// randomized fuzz that cross-checks the slab/4-ary-heap engine against a
-// std::priority_queue reference implementation.
+// EventFn closure semantics, lazy timer re-arm, determinism of named RNG
+// streams, and randomized fuzzes that cross-check the slab/4-ary-heap engine
+// against a std::priority_queue reference implementation and re-arm against
+// the cancel + push pattern it replaces.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -481,6 +482,215 @@ TEST(SimulationFuzz, SlotRecyclingKeepsHandlesIndependent) {
   s.run();
   for (int j = 0; j < kTimers; ++j)
     EXPECT_FALSE(handles[static_cast<std::size_t>(j)].armed());
+}
+
+// --------------------------------------------------------------------------
+// Lazy re-arm: TimerHandle::rearm must be observably identical to the
+// cancel + push pattern it replaces, while queueing one key per timer.
+// --------------------------------------------------------------------------
+
+TEST(TimerRearm, MovesDeadlineWithoutQueueingAnotherKey) {
+  Simulation s;
+  std::vector<Time> fired;
+  TimerHandle h = s.schedule_timer(10, [&] { fired.push_back(-1); });
+  EXPECT_TRUE(h.rearm(30, [&] { fired.push_back(s.now()); }));
+  EXPECT_EQ(s.pending_events(), 1u);
+  EXPECT_EQ(s.live_pending_events(), 1u);
+  EXPECT_TRUE(h.armed());
+  // The early key pops at 10 and is re-keyed: nothing runs, nothing counts.
+  s.run_until(20);
+  EXPECT_EQ(s.events_executed(), 0u);
+  EXPECT_EQ(s.pending_events(), 1u);
+  EXPECT_TRUE(h.armed());
+  s.run();
+  EXPECT_EQ(fired, (std::vector<Time>{30}));
+  EXPECT_EQ(s.events_executed(), 1u);
+  EXPECT_FALSE(h.armed());
+}
+
+TEST(TimerRearm, RevivesACancelledTimer) {
+  Simulation s;
+  int stale = 0;
+  std::vector<Time> fired;
+  TimerHandle h = s.schedule_timer(10, [&] { ++stale; });
+  h.cancel();
+  EXPECT_FALSE(h.armed());
+  EXPECT_EQ(s.live_pending_events(), 0u);
+  EXPECT_TRUE(h.rearm(25, [&] { fired.push_back(s.now()); }));
+  EXPECT_TRUE(h.armed());
+  EXPECT_EQ(s.pending_events(), 1u);
+  EXPECT_EQ(s.live_pending_events(), 1u);
+  s.run();
+  EXPECT_EQ(stale, 0);
+  EXPECT_EQ(fired, (std::vector<Time>{25}));
+  EXPECT_EQ(s.events_executed(), 1u);
+}
+
+TEST(TimerRearm, EarlierDeadlineFallsBackToCancelAndPush) {
+  Simulation s;
+  std::vector<int> fired;
+  TimerHandle h = s.schedule_timer(100, [&] { fired.push_back(1); });
+  EXPECT_TRUE(h.rearm(40, [&] { fired.push_back(2); }));
+  // The old key stays behind as a tombstone; the handle follows the new one.
+  EXPECT_EQ(s.pending_events(), 2u);
+  EXPECT_EQ(s.live_pending_events(), 1u);
+  EXPECT_TRUE(h.armed());
+  s.run_until(50);
+  EXPECT_EQ(fired, (std::vector<int>{2}));
+  EXPECT_FALSE(h.armed());
+  s.run();
+  EXPECT_EQ(fired, (std::vector<int>{2}));
+  EXPECT_EQ(s.events_executed(), 1u);
+  EXPECT_EQ(s.now(), 50); // the tombstone popped without moving the clock
+}
+
+TEST(TimerRearm, LiveAndInertAccountingFollowsTheTimer) {
+  Simulation s;
+  TimerHandle a = s.schedule_timer(10, [] {});
+  TimerHandle d = s.schedule_daemon_timer(10, [] {});
+  EXPECT_EQ(s.live_pending_events(), 1u);
+  // Re-arming an armed timer keeps it live; a daemon stays inert.
+  EXPECT_TRUE(a.rearm(20, [] {}));
+  EXPECT_TRUE(d.rearm(20, [] {}));
+  EXPECT_EQ(s.live_pending_events(), 1u);
+  // Cancel and revive each: the live count moves with the normal timer only.
+  a.cancel();
+  d.cancel();
+  EXPECT_EQ(s.live_pending_events(), 0u);
+  EXPECT_TRUE(a.rearm(30, [] {}));
+  EXPECT_TRUE(d.rearm(30, [] {}));
+  EXPECT_EQ(s.live_pending_events(), 1u);
+  EXPECT_TRUE(d.armed());
+  // Fallback path keeps the daemon flag too.
+  EXPECT_TRUE(d.rearm(5, [] {}));
+  EXPECT_EQ(s.pending_events(), 3u);
+  EXPECT_EQ(s.live_pending_events(), 1u);
+  s.run_until(15);
+  EXPECT_EQ(s.live_pending_events(), 1u);
+  s.run();
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_EQ(s.live_pending_events(), 0u);
+  EXPECT_EQ(s.events_executed(), 2u);
+}
+
+TEST(TimerRearm, StaleHandleIsANoOp) {
+  Simulation s;
+  TimerHandle none;
+  EXPECT_FALSE(none.rearm(5, [] {}));
+  int runs = 0;
+  TimerHandle h = s.schedule_timer(5, [&] { ++runs; });
+  s.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_FALSE(h.rearm(10, [&] { ++runs; }));
+  EXPECT_EQ(s.pending_events(), 0u);
+  // Cancelled, and its key has since popped: also stale. The slot's next
+  // occupant must not be touched either.
+  TimerHandle c = s.schedule_timer(1, [&] { ++runs; });
+  c.cancel();
+  s.run();
+  TimerHandle next = s.schedule_timer(3, [&] { runs += 10; });
+  EXPECT_FALSE(c.rearm(50, [&] { runs += 100; }));
+  EXPECT_TRUE(next.armed());
+  s.run();
+  EXPECT_EQ(runs, 11);
+  EXPECT_EQ(s.now(), 8);
+}
+
+TEST(TimerRearm, NoSequenceResetWhileAReservationIsOutstanding) {
+  // Only the re-armed timer's key is queued. Its re-keying pop must not
+  // count as a drain: a reset would hand the later event a smaller seq than
+  // the one reserved at re-arm time, and it would overtake the timer at the
+  // same instant.
+  Simulation s;
+  std::vector<int> order;
+  TimerHandle h = s.schedule_timer(10, [] {});
+  EXPECT_TRUE(h.rearm(100, [&] { order.push_back(1); }));
+  s.run_until(20);
+  EXPECT_EQ(s.events_executed(), 0u);
+  s.schedule_at(100, [&] { order.push_back(2); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+struct RearmTrace {
+  std::vector<int> order;          // event labels in execution order
+  std::vector<std::uint64_t> live; // live_pending_events at each execution
+  std::uint64_t executed = 0;
+  std::size_t peak = 0;
+  int lazy_moves = 0;
+  Time final_now = 0;
+};
+
+// One random script run two ways: `kLazy` re-arms with TimerHandle::rearm,
+// otherwise with the cancel + push pattern it replaces. Timer 0 is a daemon.
+// Delays come from a narrow range so same-time ties are common, and a new
+// deadline is often earlier than the queued key (the fallback path).
+template <bool kLazy>
+RearmTrace run_rearm_script(std::uint32_t seed) {
+  constexpr int kTimers = 6;
+  constexpr int kBudget = 600;
+  Simulation s;
+  std::mt19937 rng(seed);
+  std::vector<TimerHandle> timers(kTimers);
+  RearmTrace t;
+  int next_label = 0;
+  std::function<void(int)> fire;
+  const auto arm = [&](int j, Time delay) {
+    const auto fn = [&fire, label = next_label++] { fire(label); };
+    const auto fresh = [&] {
+      return j == 0 ? s.schedule_daemon_timer(delay, fn) : s.schedule_timer(delay, fn);
+    };
+    auto& h = timers[static_cast<std::size_t>(j)];
+    if constexpr (kLazy) {
+      if (h.rearm(s.now() + delay, fn))
+        ++t.lazy_moves;
+      else
+        h = fresh();
+    } else {
+      h.cancel();
+      h = fresh();
+    }
+  };
+  fire = [&](int label) {
+    t.order.push_back(label);
+    t.live.push_back(s.live_pending_events());
+    if (next_label >= kBudget) return;
+    const auto ops = 1 + rng() % 4;
+    for (std::uint32_t k = 0; k < ops; ++k) {
+      const auto j = static_cast<int>(rng() % kTimers);
+      const auto delay = static_cast<Time>(rng() % 12);
+      switch (rng() % 5) {
+        case 0: timers[static_cast<std::size_t>(j)].cancel(); break;
+        case 1:
+        case 2: s.schedule_after(delay, [&fire, label = next_label++] { fire(label); }); break;
+        default: arm(j, delay);
+      }
+    }
+  };
+  for (Time at = 0; at < 4; ++at) s.schedule_at(at, [&fire, label = next_label++] { fire(label); });
+  for (int j = 0; j < kTimers; ++j) arm(j, 3);
+  s.run();
+  t.executed = s.events_executed();
+  t.peak = s.peak_pending_events();
+  t.final_now = s.now();
+  return t;
+}
+
+TEST(TimerRearm, RandomizedMatchesCancelAndPush) {
+  std::size_t lazy_peak = 0, eager_peak = 0;
+  for (std::uint32_t seed = 0; seed < 40; ++seed) {
+    const RearmTrace lazy = run_rearm_script<true>(seed);
+    const RearmTrace eager = run_rearm_script<false>(seed);
+    ASSERT_EQ(lazy.order, eager.order) << "dispatch order diverged, seed " << seed;
+    ASSERT_EQ(lazy.live, eager.live) << "live accounting diverged, seed " << seed;
+    ASSERT_EQ(lazy.executed, eager.executed) << "seed " << seed;
+    ASSERT_EQ(lazy.final_now, eager.final_now) << "seed " << seed;
+    ASSERT_GT(lazy.order.size(), 50u) << "degenerate script, seed " << seed;
+    ASSERT_GT(lazy.lazy_moves, 0) << "script never re-armed lazily, seed " << seed;
+    lazy_peak += lazy.peak;
+    eager_peak += eager.peak;
+  }
+  EXPECT_LT(lazy_peak, eager_peak); // the tombstones are really gone
 }
 
 TEST(Rng, NamedStreamsAreDeterministic) {

@@ -1,6 +1,10 @@
 // Worker protocol unit tests: error handling, RTT sampling (Karn's rule),
-// timeline sampling, destination resolver, wire-format effects.
+// timeline sampling, destination resolver, wire-format effects, and the
+// pending-wire ledger behind updates_wired.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "common/timeline.hpp"
 #include "core/cluster.hpp"
@@ -13,6 +17,34 @@ ClusterConfig cfg4() {
   c.n_workers = 4;
   c.pool_size = 8;
   return c;
+}
+
+TEST(WireLedger, DrainsOutOfOrderPerCoreWireTimes) {
+  // Two NIC cores serialize independently, so their wire times interleave
+  // out of order. drain(now) must retire exactly the times strictly before
+  // `now`, whatever order they were added in.
+  worker::WireLedger ledger;
+  const std::vector<Time> core0{5, 15, 25, 35};
+  const std::vector<Time> core1{2, 30, 31, 60};
+  std::vector<Time> added;
+  for (std::size_t i = 0; i < core0.size(); ++i) {
+    ledger.add(core0[i]);
+    ledger.add(core1[i]);
+    added.push_back(core0[i]);
+    added.push_back(core1[i]);
+  }
+  ledger.add(15); // duplicate time on the other core
+  added.push_back(15);
+  std::uint64_t drained = 0;
+  for (const Time now : {Time{0}, Time{2}, Time{3}, Time{15}, Time{16}, Time{31}, Time{60},
+                         Time{61}}) {
+    drained += ledger.drain(now);
+    const auto expected = static_cast<std::uint64_t>(
+        std::count_if(added.begin(), added.end(), [now](Time t) { return t < now; }));
+    EXPECT_EQ(drained, expected) << "now " << now;
+    EXPECT_EQ(ledger.size(), added.size() - expected) << "now " << now;
+  }
+  EXPECT_EQ(ledger.drain(1000), 0u);
 }
 
 TEST(Worker, StartWhileActiveThrows) {
