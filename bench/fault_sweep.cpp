@@ -233,18 +233,17 @@ int main(int argc, char** argv) {
   // state, so the straggler is what keeps slots partially aggregated — and
   // vulnerable — when the wipe hits.
   {
-    core::HierarchyConfig hcfg;
-    hcfg.racks = 2;
-    hcfg.workers_per_rack = 4;
-    hcfg.timing_only = true;
-    hcfg.faults.stragglers.push_back({0, 16.0, 0, -1});
-    core::HierarchicalCluster clean_h(hcfg);
+    core::FabricParams hparams;
+    hparams.timing_only = true;
+    hparams.faults.stragglers.push_back({0, 16.0, 0, -1});
+    const core::HierarchySpec shape{2, 4};
+    core::Fabric clean_h(core::FabricConfig(hparams, shape));
     const auto clean_tats = clean_h.reduce_timing(scale.tensor_elems);
     Time clean_max = 0;
     for (Time t : clean_tats) clean_max = std::max(clean_max, t);
 
-    hcfg.faults.switch_restarts.push_back({1, clean_max / 2}); // leaf 0
-    core::HierarchicalCluster faulted(hcfg);
+    hparams.faults.switch_restarts.push_back({1, clean_max / 2}); // leaf 0
+    core::Fabric faulted(core::FabricConfig(hparams, shape));
     ScopedTimeline scoped(&timeline_req, faulted.simulation(), faulted.metrics(),
                           "hierarchy-restart");
     const auto tats = faulted.reduce_timing(scale.tensor_elems);
@@ -256,11 +255,11 @@ int main(int argc, char** argv) {
     std::printf("hierarchy failover (2 racks x 4 workers, 16x straggler, leaf-0 restart at TAT/2):\n"
                 "  no restart %s -> restart %s (%.2fx), restarts=%llu\n\n",
                 format_duration(clean_max).c_str(), format_duration(max_tat).c_str(), inflation,
-                static_cast<unsigned long long>(faulted.leaf(0).counters().restarts));
+                static_cast<unsigned long long>(faulted.switch_at(1).counters().restarts));
     report.add("hierarchy-clean.tat_max_ms", to_msec(clean_max));
     report.add("hierarchy-restart.tat_max_ms", to_msec(max_tat));
     report.add("hierarchy-restart.restarts",
-               static_cast<double>(faulted.leaf(0).counters().restarts));
+               static_cast<double>(faulted.switch_at(1).counters().restarts));
   }
 
   const std::string trace_path = "fault_sweep_trace.json";

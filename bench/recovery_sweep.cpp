@@ -169,20 +169,19 @@ int main(int argc, char** argv) {
     report.add("kill-rack.fallbacks", static_cast<double>(r.fallbacks));
   }
   {
-    core::HierarchyConfig cfg;
-    cfg.racks = 2;
-    cfg.workers_per_rack = 4;
-    cfg.timing_only = true;
-    core::HierarchicalCluster clean_h(cfg);
+    core::FabricParams params;
+    params.timing_only = true;
+    const core::HierarchySpec shape{2, 4};
+    core::Fabric clean_h(core::FabricConfig(params, shape));
     const auto clean_tats = clean_h.reduce_timing(scale.tensor_elems);
     const Time clean_h_max = *std::max_element(clean_tats.begin(), clean_tats.end());
 
-    cfg.faults.switch_kills.push_back({0, clean_h_max / 2});
-    core::HierarchicalCluster cluster(cfg);
+    params.faults.switch_kills.push_back({0, clean_h_max / 2});
+    core::Fabric cluster(core::FabricConfig(params, shape));
     const auto tats = cluster.reduce_timing(scale.tensor_elems);
     const Time h_max = *std::max_element(tats.begin(), tats.end());
     const double inflation = static_cast<double>(h_max) / static_cast<double>(clean_h_max);
-    const bool engaged = cluster.fabric().fallback_engaged();
+    const bool engaged = cluster.fallback_engaged();
     kills.add_row({"hierarchy root (2x4)", format_duration(h_max),
                    Table::num(inflation, 2) + "x", engaged ? "engaged" : "NO"});
     sidecar.record("kill-hierarchy-root", cluster.metrics());

@@ -103,21 +103,20 @@ int main(int argc, char** argv) try {
                     static_cast<double>(4 * kMiB));
   } else if (args.strategy == "hierarchical") {
     if (args.racks < 1) throw std::invalid_argument("--racks must be >= 1");
-    core::HierarchyConfig cfg;
-    cfg.racks = args.racks;
-    cfg.workers_per_rack = args.workers / args.racks;
-    cfg.link_rate = rate;
-    cfg.uplink_rate = rate;
-    cfg.loss_prob = args.loss;
-    cfg.timing_only = true;
-    cfg.nic = core::switchml_worker_nic(rate);
-    if (args.pool) cfg.pool_size = args.pool;
-    core::HierarchicalCluster cluster(cfg);
+    core::FabricParams params;
+    params.link_rate = rate;
+    params.uplink_rate = rate;
+    params.loss_prob = args.loss;
+    params.timing_only = true;
+    params.nic = core::switchml_worker_nic(rate);
+    if (args.pool) params.pool_size = args.pool;
+    core::Fabric cluster(
+        core::FabricConfig(params, core::HierarchySpec{args.racks, args.workers / args.racks}));
     auto tats = cluster.reduce_timing(elems);
     report("Hierarchical", to_msec(tats[0]), elems, line);
     std::printf("leaf 0 reduction ratio: %llu updates in -> %llu partials up\n",
-                static_cast<unsigned long long>(cluster.leaf(0).counters().updates_received),
-                static_cast<unsigned long long>(cluster.leaf(0).counters().upstream_partials));
+                static_cast<unsigned long long>(cluster.switch_at(1).counters().updates_received),
+                static_cast<unsigned long long>(cluster.switch_at(1).counters().upstream_partials));
   } else if (args.strategy == "gloo" || args.strategy == "nccl") {
     const auto profile = args.strategy == "gloo" ? core::gloo_tcp(rate) : core::nccl_tcp(rate);
     collectives::BaselineClusterConfig cfg;

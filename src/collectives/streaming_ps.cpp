@@ -106,6 +106,34 @@ net::Packet make_result(const net::Packet& update, net::NodeId src, net::NodeId 
 
 } // namespace
 
+// ---------------------------------------------------------------------- PsShard
+
+PsShard::PsShard(const std::string& metric_prefix, int n_workers, int n_shards,
+                 std::uint32_t pool_size, bool timing_only, std::vector<net::NodeId> worker_ids)
+    : n_shards_(n_shards),
+      aggregator_(n_workers, pool_size, timing_only),
+      worker_ids_(std::move(worker_ids)) {
+  if (auto* reg = MetricsRegistry::current()) {
+    reg->add_counter(metric_prefix + "updates", [this] { return aggregator_.counters().updates; });
+    reg->add_counter(metric_prefix + "duplicates",
+                     [this] { return aggregator_.counters().duplicates; });
+    reg->add_counter(metric_prefix + "completions",
+                     [this] { return aggregator_.counters().completions; });
+  }
+}
+
+template <class Emit>
+void PsShard::serve(const net::Packet& p, net::NodeId self, Time now, Emit&& emit) {
+  if (!p.verify()) return;
+  auto outcome = aggregator_.process(p);
+  attribute_outcome(self, p, outcome.kind, now);
+  if (outcome.kind == SoftwareAggregator::Outcome::Kind::Completed) {
+    for (net::NodeId w : worker_ids_) emit(make_result(p, self, w, outcome.values));
+  } else if (outcome.kind == SoftwareAggregator::Outcome::Kind::ReplyStored) {
+    emit(make_result(p, self, p.src, outcome.values));
+  }
+}
+
 // ------------------------------------------------------------------ PsShardNode
 
 PsShardNode::PsShardNode(sim::Simulation& simulation, net::NodeId id, std::string name,
@@ -116,16 +144,8 @@ PsShardNode::PsShardNode(sim::Simulation& simulation, net::NodeId id, std::strin
     : Node(simulation, id, std::move(name)),
       nic_(simulation, nic),
       channel_(net::make_channel(simulation, this->name(), id, transport, nic_, rdma)),
-      n_shards_(n_shards),
-      aggregator_(n_workers, pool_size, timing_only),
-      worker_ids_(std::move(worker_ids)) {
-  if (auto* reg = MetricsRegistry::current()) {
-    const std::string p = this->name() + ".";
-    reg->add_counter(p + "updates", [this] { return aggregator_.counters().updates; });
-    reg->add_counter(p + "duplicates", [this] { return aggregator_.counters().duplicates; });
-    reg->add_counter(p + "completions", [this] { return aggregator_.counters().completions; });
-  }
-}
+      shard_(this->name() + ".", n_workers, n_shards, pool_size, timing_only,
+             std::move(worker_ids)) {}
 
 void PsShardNode::receive(net::Packet&& p, int /*port*/) {
   const int core = core_of(p.idx);
@@ -135,22 +155,11 @@ void PsShardNode::receive(net::Packet&& p, int /*port*/) {
 }
 
 void PsShardNode::handle(net::Packet&& p) {
-  if (!p.verify()) return; // §3.4: corrupted update, worker timer repairs it
-  auto outcome = aggregator_.process(p);
-  attribute_outcome(id(), p, outcome.kind, sim_.now());
   const int core = core_of(p.idx);
-  if (outcome.kind == SoftwareAggregator::Outcome::Kind::Completed) {
-    // One unicast result per worker (software PS has no traffic manager).
-    for (net::NodeId w : worker_ids_) {
-      net::Packet r = make_result(p, id(), w, outcome.values);
-      const Time ready = channel_->tx_ready(core, r);
-      uplink_->send_from(*this, std::move(r), ready);
-    }
-  } else if (outcome.kind == SoftwareAggregator::Outcome::Kind::ReplyStored) {
-    net::Packet r = make_result(p, id(), p.src, outcome.values);
+  shard_.serve(p, id(), sim_.now(), [this, core](net::Packet&& r) {
     const Time ready = channel_->tx_ready(core, r);
     uplink_->send_from(*this, std::move(r), ready);
-  }
+  });
 }
 
 // -------------------------------------------------------------- PsColocatedHost
@@ -159,16 +168,8 @@ PsColocatedHost::PsColocatedHost(sim::Simulation& simulation, net::NodeId id, st
                                  const worker::WorkerConfig& wc, int n_shards,
                                  std::uint32_t pool_size, std::vector<net::NodeId> worker_ids)
     : Worker(simulation, id, std::move(name), wc),
-      n_shards_(n_shards),
-      aggregator_(wc.n_workers, pool_size, wc.timing_only),
-      worker_ids_(std::move(worker_ids)) {
-  if (auto* reg = MetricsRegistry::current()) {
-    const std::string p = this->name() + ".shard.";
-    reg->add_counter(p + "updates", [this] { return aggregator_.counters().updates; });
-    reg->add_counter(p + "duplicates", [this] { return aggregator_.counters().duplicates; });
-    reg->add_counter(p + "completions", [this] { return aggregator_.counters().completions; });
-  }
-}
+      shard_(this->name() + ".shard.", wc.n_workers, n_shards, pool_size, wc.timing_only,
+             std::move(worker_ids)) {}
 
 void PsColocatedHost::receive(net::Packet&& p, int port) {
   if (p.kind == net::PacketKind::SmlUpdate) {
@@ -183,33 +184,17 @@ void PsColocatedHost::receive(net::Packet&& p, int port) {
 }
 
 void PsColocatedHost::handle_shard(net::Packet&& p) {
-  if (!p.verify()) return; // §3.4: corrupted update, worker timer repairs it
-  auto outcome = aggregator_.process(p);
-  attribute_outcome(id(), p, outcome.kind, simulation().now());
   const int core = shard_core_of(p.idx);
-  if (outcome.kind == SoftwareAggregator::Outcome::Kind::Completed) {
-    for (net::NodeId w : worker_ids_) {
-      if (w == id()) {
-        // Local delivery: the worker role consumes its own shard's result
-        // without touching the wire (but still pays RX processing).
-        net::Packet r = make_result(p, id(), w, outcome.values);
-        Worker::receive(std::move(r), 0);
-        continue;
-      }
-      net::Packet r = make_result(p, id(), w, outcome.values);
-      const Time ready = channel().tx_ready(core, r);
-      uplink()->send_from(*this, std::move(r), ready);
-    }
-  } else if (outcome.kind == SoftwareAggregator::Outcome::Kind::ReplyStored) {
-    if (p.src == id()) {
-      net::Packet r = make_result(p, id(), p.src, outcome.values);
+  shard_.serve(p, id(), simulation().now(), [this, core](net::Packet&& r) {
+    if (r.dst == id()) {
+      // Local delivery: the worker role consumes its own shard's result
+      // without touching the wire (but still pays RX processing).
       Worker::receive(std::move(r), 0);
-    } else {
-      net::Packet r = make_result(p, id(), p.src, outcome.values);
-      const Time ready = channel().tx_ready(core, r);
-      uplink()->send_from(*this, std::move(r), ready);
+      return;
     }
-  }
+    const Time ready = channel().tx_ready(core, r);
+    uplink()->send_from(*this, std::move(r), ready);
+  });
 }
 
 // ------------------------------------------------------------ StreamingPsCluster

@@ -59,6 +59,42 @@ private:
   Counters counters_;
 };
 
+// One PS shard's serve path, shared by both placements: the aggregation
+// state, its three registered counters (`<prefix>updates`, ...), the core
+// steering and the result fan-out.
+class PsShard {
+public:
+  PsShard(const std::string& metric_prefix, int n_workers, int n_shards,
+          std::uint32_t pool_size, bool timing_only, std::vector<net::NodeId> worker_ids);
+  PsShard(const PsShard&) = delete;
+  PsShard& operator=(const PsShard&) = delete;
+
+  // This shard serves slots idx with idx % n_shards == shard; Flow Director
+  // spreads them over the cores by the QUOTIENT so consecutive served slots
+  // hit different cores (idx % cores would pin one core per shard).
+  [[nodiscard]] int core_of(std::uint32_t idx, int cores) const {
+    return static_cast<int>((idx / static_cast<std::uint32_t>(n_shards_)) %
+                            static_cast<std::uint32_t>(cores));
+  }
+
+  // Aggregates one update received by node `self` and passes each result to
+  // `emit(packet)`: one unicast per worker, in worker order, when the slot
+  // completes (software PS has no traffic manager), or one reply to the
+  // sender for a retransmission into a completed slot. A corrupted update
+  // is dropped (§3.4: the worker's timer repairs it).
+  template <class Emit>
+  void serve(const net::Packet& p, net::NodeId self, Time now, Emit&& emit);
+
+  [[nodiscard]] const SoftwareAggregator::Counters& counters() const {
+    return aggregator_.counters();
+  }
+
+private:
+  int n_shards_;
+  SoftwareAggregator aggregator_;
+  std::vector<net::NodeId> worker_ids_;
+};
+
 // A dedicated PS machine: NIC-cost-modelled host running one shard.
 class PsShardNode : public net::Node {
 public:
@@ -70,26 +106,16 @@ public:
 
   void set_uplink(net::Link& link) { uplink_ = &link; }
   void receive(net::Packet&& p, int port) override;
-  [[nodiscard]] const SoftwareAggregator::Counters& counters() const {
-    return aggregator_.counters();
-  }
+  [[nodiscard]] const SoftwareAggregator::Counters& counters() const { return shard_.counters(); }
 
 private:
   void handle(net::Packet&& p);
-  // This shard serves slots idx with idx % n_shards == shard; Flow Director
-  // spreads them over the cores by the QUOTIENT so consecutive served slots
-  // hit different cores (idx % cores would pin one core per shard).
-  [[nodiscard]] int core_of(std::uint32_t idx) const {
-    return static_cast<int>((idx / static_cast<std::uint32_t>(n_shards_)) %
-                            static_cast<std::uint32_t>(nic_.cores()));
-  }
+  [[nodiscard]] int core_of(std::uint32_t idx) const { return shard_.core_of(idx, nic_.cores()); }
 
   net::HostNic nic_;
   std::unique_ptr<net::Channel> channel_;
   net::Link* uplink_ = nullptr;
-  int n_shards_;
-  SoftwareAggregator aggregator_;
-  std::vector<net::NodeId> worker_ids_;
+  PsShard shard_;
 };
 
 // A colocated host: the SwitchML worker protocol plus a PS shard sharing the
@@ -102,19 +128,14 @@ public:
 
   void receive(net::Packet&& p, int port) override;
   [[nodiscard]] const SoftwareAggregator::Counters& shard_counters() const {
-    return aggregator_.counters();
+    return shard_.counters();
   }
 
 private:
   void handle_shard(net::Packet&& p);
-  [[nodiscard]] int shard_core_of(std::uint32_t idx) {
-    return static_cast<int>((idx / static_cast<std::uint32_t>(n_shards_)) %
-                            static_cast<std::uint32_t>(nic().cores()));
-  }
+  [[nodiscard]] int shard_core_of(std::uint32_t idx) { return shard_.core_of(idx, nic().cores()); }
 
-  int n_shards_;
-  SoftwareAggregator aggregator_;
-  std::vector<net::NodeId> worker_ids_;
+  PsShard shard_;
 };
 
 enum class StreamingPsPlacement : std::uint8_t { Dedicated, Colocated };

@@ -1,8 +1,8 @@
 #include "core/fabric.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -229,8 +229,9 @@ collectives::StreamingPsConfig fallback_ps_config(const FabricConfig& c, int n_w
 }
 } // namespace
 
-void Fabric::fallback_timing(const std::vector<Time>& start, std::vector<Time>& tat,
-                             std::uint64_t total_elems) {
+void Fabric::replay_fallback(std::uint64_t total_elems, const std::vector<Time>& start,
+                             std::vector<Time>& tat, const FallbackReplay& replay,
+                             const FallbackSettle& settle) {
   const FallbackPlan plan = collect_fallback_plan(total_elems);
   std::vector<Time> ps_tat;
   {
@@ -241,10 +242,11 @@ void Fabric::fallback_timing(const std::vector<Time>& start, std::vector<Time>& 
     attr::SpanLedger::Scope mask(nullptr);
     trace::TraceSink::Scope trace_mask(nullptr);
     collectives::StreamingPsCluster ps(fallback_ps_config(config_, workers_per_job_));
-    ps_tat = ps.reduce_timing(plan.replay_elems);
+    ps_tat = replay(ps, plan);
   }
   for (std::size_t i = 0; i < tat.size(); ++i) {
     if (tat[i] >= 0) continue; // completed on the switch path before the abort
+    if (settle) settle(i, plan);
     tat[i] = (plan.drained_at - start[i]) + config_.fallback_reprovision + ps_tat[i];
     // The worker's surviving chunks were parked in kFallback at the abort;
     // they complete when the replay delivers, possibly past the fabric clock.
@@ -256,42 +258,41 @@ void Fabric::fallback_timing(const std::vector<Time>& start, std::vector<Time>& 
 void Fabric::fallback_data(const std::vector<std::vector<std::int32_t>>& updates,
                            const std::vector<Time>& start, DataReduceResult& r) {
   const std::uint64_t total_elems = updates.empty() ? 0 : updates.front().size();
-  const FallbackPlan plan = collect_fallback_plan(total_elems);
-  // Replay the union of unconsumed chunks, compacted into one contiguous
-  // vector per worker. int32 sums are order-independent and overflow-wrapping,
-  // so the PS result is bit-identical to what the switch would have produced.
-  std::vector<std::vector<std::int32_t>> compact(updates.size());
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    compact[i].reserve(plan.replay_elems);
-    for (std::uint64_t off : plan.offsets) {
-      const auto c = std::min<std::uint64_t>(config_.elems_per_packet, total_elems - off);
-      compact[i].insert(compact[i].end(), updates[i].begin() + static_cast<std::ptrdiff_t>(off),
-                        updates[i].begin() + static_cast<std::ptrdiff_t>(off + c));
-    }
-  }
-  std::optional<collectives::StreamingPsCluster::DataReduceResult> psr_holder;
-  {
-    attr::SpanLedger::Scope mask(nullptr); // see fallback_timing
-    trace::TraceSink::Scope trace_mask(nullptr);
-    collectives::StreamingPsCluster ps(fallback_ps_config(config_, workers_per_job_));
-    psr_holder = ps.reduce_i32(compact);
-  }
-  auto& psr = *psr_holder;
-  for (std::size_t i = 0; i < r.tat.size(); ++i) {
-    if (r.tat[i] >= 0) continue;
-    // Scatter the replayed sums back to their offsets. Chunks this worker DID
-    // consume before the abort are overwritten with the identical value.
-    std::size_t pos = 0;
-    for (std::uint64_t off : plan.offsets) {
-      const auto c = std::min<std::uint64_t>(config_.elems_per_packet, total_elems - off);
-      std::copy_n(psr.outputs[i].begin() + static_cast<std::ptrdiff_t>(pos), c,
-                  r.outputs[i].begin() + static_cast<std::ptrdiff_t>(off));
-      pos += c;
-    }
-    r.tat[i] = (plan.drained_at - start[i]) + config_.fallback_reprovision + psr.tat[i];
-    attr::close_all(workers_[i]->id(), start[i] + r.tat[i]);
-  }
-  finish_fallback();
+  const auto chunk_elems = [&](std::uint64_t off) {
+    return std::min<std::uint64_t>(config_.elems_per_packet, total_elems - off);
+  };
+  std::vector<std::vector<std::int32_t>> replayed;
+  replay_fallback(
+      total_elems, start, r.tat,
+      [&](collectives::StreamingPsCluster& ps, const FallbackPlan& plan) {
+        // Replay the union of unconsumed chunks, compacted into one contiguous
+        // vector per worker. int32 sums are order-independent and
+        // overflow-wrapping, so the PS result is bit-identical to what the
+        // switch would have produced.
+        std::vector<std::vector<std::int32_t>> compact(updates.size());
+        for (std::size_t i = 0; i < updates.size(); ++i) {
+          compact[i].reserve(plan.replay_elems);
+          for (std::uint64_t off : plan.offsets) {
+            const auto first = updates[i].begin() + static_cast<std::ptrdiff_t>(off);
+            compact[i].insert(compact[i].end(), first,
+                              first + static_cast<std::ptrdiff_t>(chunk_elems(off)));
+          }
+        }
+        auto psr = ps.reduce_i32(compact);
+        replayed = std::move(psr.outputs);
+        return psr.tat;
+      },
+      [&](std::size_t i, const FallbackPlan& plan) {
+        // Scatter the replayed sums back to their offsets. Chunks this worker
+        // DID consume before the abort are overwritten with the identical value.
+        std::size_t pos = 0;
+        for (std::uint64_t off : plan.offsets) {
+          const auto c = chunk_elems(off);
+          std::copy_n(replayed[i].begin() + static_cast<std::ptrdiff_t>(pos), c,
+                      r.outputs[i].begin() + static_cast<std::ptrdiff_t>(off));
+          pos += c;
+        }
+      });
 }
 
 void Fabric::set_loss_prob(double p) {
@@ -310,7 +311,12 @@ std::vector<Time> Fabric::reduce_timing(std::uint64_t total_elems) {
   }
   sim_.run();
   if (fallback_pending_) {
-    fallback_timing(start, tat, total_elems);
+    replay_fallback(
+        total_elems, start, tat,
+        [](collectives::StreamingPsCluster& ps, const FallbackPlan& plan) {
+          return ps.reduce_timing(plan.replay_elems);
+        },
+        nullptr);
     return tat;
   }
   for (Time t : tat)
@@ -391,9 +397,10 @@ void TopologyBuilder::build() {
                    branching_ = s.branching;
                    workers_per_rack_ = s.workers_per_rack;
                    f_.n_jobs_ = 1;
+                   f_.workers_per_job_ = s.workers_per_rack;
+                   for (int l = 1; l < s.levels; ++l) f_.workers_per_job_ *= s.branching;
                    int next_worker = 0;
                    build_subtree(0, nullptr, 0, next_worker);
-                   f_.workers_per_job_ = next_worker;
                  },
                  [&](const IrregularSpec& s) {
                    f_.n_jobs_ = 1;
@@ -404,11 +411,12 @@ void TopologyBuilder::build() {
              f_.config_.topology);
 }
 
-worker::WorkerConfig TopologyBuilder::worker_config(int wid, int n_at_switch,
-                                                    net::NodeId switch_id) const {
+worker::WorkerConfig TopologyBuilder::worker_config(int wid, net::NodeId switch_id) const {
   worker::WorkerConfig wc;
   wc.wid = static_cast<std::uint16_t>(wid);
-  wc.n_workers = n_at_switch;
+  // The job-wide contributor count in every shape (StreamManager averages by
+  // it); the worker protocol itself never reads it.
+  wc.n_workers = f_.workers_per_job_;
   wc.pool_size = params_.pool_size;
   wc.elems_per_packet = params_.elems_per_packet;
   wc.wire_elem_bytes = params_.wire_elem_bytes;
@@ -428,6 +436,23 @@ worker::WorkerConfig TopologyBuilder::worker_config(int wid, int n_at_switch,
   return wc;
 }
 
+swprog::AggregationConfig TopologyBuilder::switch_config(int n_children,
+                                                         std::uint32_t multicast_group) const {
+  swprog::AggregationConfig sc;
+  sc.n_workers = n_children;
+  sc.pool_size = params_.pool_size;
+  sc.elems_per_packet = params_.elems_per_packet;
+  sc.timing_only = params_.timing_only;
+  sc.mtu_emulation = params_.mtu_emulation;
+  sc.multicast_group = multicast_group;
+  sc.sram_budget_bytes = params_.sram_budget_bytes;
+  sc.ablate_shadow_copy = params_.ablate_shadow_copy;
+  sc.ablate_seen_bitmap = params_.ablate_seen_bitmap;
+  sc.fp16_frac_bits = params_.fp16_frac_bits;
+  sc.lossless = params_.lossless;
+  return sc;
+}
+
 net::LinkConfig TopologyBuilder::link_config(BitsPerSecond rate) const {
   net::LinkConfig lc;
   lc.rate = rate;
@@ -441,21 +466,9 @@ void TopologyBuilder::build_star(int n_jobs, int workers_per_job,
                                  std::uint32_t group_base) {
   // Job 0 is admitted by the switch constructor; further jobs go through the
   // §6 admission control below.
-  swprog::AggregationConfig sc;
-  sc.n_workers = workers_per_job;
-  sc.pool_size = params_.pool_size;
-  sc.elems_per_packet = params_.elems_per_packet;
-  sc.wid_base = 0;
-  sc.timing_only = params_.timing_only;
-  sc.mtu_emulation = params_.mtu_emulation;
-  sc.multicast_group = group_base;
-  sc.sram_budget_bytes = params_.sram_budget_bytes;
-  sc.ablate_shadow_copy = params_.ablate_shadow_copy;
-  sc.ablate_seen_bitmap = params_.ablate_seen_bitmap;
-  sc.fp16_frac_bits = params_.fp16_frac_bits;
-  sc.lossless = params_.lossless;
   auto sw = std::make_unique<swprog::AggregationSwitch>(
-      f_.sim_, kSwitchId, "switch", sc, swprog::SwitchRole::Standalone, params_.switch_latency);
+      f_.sim_, kSwitchId, "switch", switch_config(workers_per_job, group_base),
+      swprog::SwitchRole::Standalone, params_.switch_latency);
 
   for (int j = 1; j < n_jobs; ++j) {
     swprog::JobParams jp;
@@ -473,7 +486,7 @@ void TopologyBuilder::build_star(int n_jobs, int workers_per_job,
     std::vector<int> ports;
     for (int i = 0; i < workers_per_job; ++i) {
       const int g = j * workers_per_job + i; // global worker index == port
-      worker::WorkerConfig wc = worker_config(g, workers_per_job, sw->id());
+      worker::WorkerConfig wc = worker_config(g, sw->id());
       wc.job = static_cast<std::uint8_t>(j);
       const std::string name = n_jobs > 1
                                    ? "j" + std::to_string(j) + "-worker-" + std::to_string(i)
@@ -499,18 +512,7 @@ swprog::AggregationSwitch* TopologyBuilder::build_subtree(int level,
   const bool bottom = level == levels_ - 1;
   const int n_children = bottom ? workers_per_rack_ : branching_;
 
-  swprog::AggregationConfig sc;
-  sc.n_workers = n_children;
-  sc.pool_size = params_.pool_size;
-  sc.elems_per_packet = params_.elems_per_packet;
-  sc.timing_only = params_.timing_only;
-  sc.mtu_emulation = params_.mtu_emulation;
-  sc.multicast_group = kWorkerMulticastGroup;
-  sc.sram_budget_bytes = params_.sram_budget_bytes;
-  sc.ablate_shadow_copy = params_.ablate_shadow_copy;
-  sc.ablate_seen_bitmap = params_.ablate_seen_bitmap;
-  sc.fp16_frac_bits = params_.fp16_frac_bits;
-  sc.lossless = params_.lossless;
+  swprog::AggregationConfig sc = switch_config(n_children, kWorkerMulticastGroup);
   // Bottom switches see global worker ids; internal switches see their
   // children's leaf_wid (0..branching-1).
   sc.wid_base = bottom ? static_cast<std::uint16_t>(next_worker) : 0;
@@ -541,14 +543,9 @@ swprog::AggregationSwitch* TopologyBuilder::build_subtree(int level,
   for (int c = 0; c < n_children; ++c) {
     if (bottom) {
       const int g = next_worker++;
-      // Hierarchy workers historically advertise the job-wide count; tree
-      // workers their rack's. The worker protocol uses neither, but keep the
-      // configs bit-identical to what the pre-unification builders produced.
-      const int n_for_config =
-          hierarchy_naming_ ? branching_ * workers_per_rack_ : n_children;
       auto w = std::make_unique<worker::Worker>(f_.sim_, static_cast<net::NodeId>(g),
                                                 "worker-" + std::to_string(g),
-                                                worker_config(g, n_for_config, sw->id()));
+                                                worker_config(g, sw->id()));
       auto link = std::make_unique<net::Link>(f_.sim_, lc, *w, 0, *sw, c,
                                               params_.seed + static_cast<std::uint64_t>(g));
       w->set_uplink(*link);
@@ -577,9 +574,6 @@ swprog::AggregationSwitch* TopologyBuilder::build_subtree(int level,
 }
 
 void TopologyBuilder::build_irregular(const IrregularSpec& spec) {
-  // Fabric's ctor validated already, but the facades in cluster.hpp don't —
-  // cheap enough to re-run unconditionally.
-  validate_irregular(spec);
   const auto m = static_cast<int>(spec.switch_parent.size());
   const auto n_workers = static_cast<int>(spec.worker_switch.size());
 
@@ -603,18 +597,7 @@ void TopologyBuilder::build_irregular(const IrregularSpec& spec) {
   for (int i = 0; i < m; ++i) {
     const auto idx = static_cast<std::size_t>(i);
     const bool leaf_switch = !worker_children[idx].empty();
-    swprog::AggregationConfig sc;
-    sc.n_workers = n_children_of(i);
-    sc.pool_size = params_.pool_size;
-    sc.elems_per_packet = params_.elems_per_packet;
-    sc.timing_only = params_.timing_only;
-    sc.mtu_emulation = params_.mtu_emulation;
-    sc.multicast_group = kWorkerMulticastGroup;
-    sc.sram_budget_bytes = params_.sram_budget_bytes;
-    sc.ablate_shadow_copy = params_.ablate_shadow_copy;
-    sc.ablate_seen_bitmap = params_.ablate_seen_bitmap;
-    sc.fp16_frac_bits = params_.fp16_frac_bits;
-    sc.lossless = params_.lossless;
+    swprog::AggregationConfig sc = switch_config(n_children_of(i), kWorkerMulticastGroup);
     // Like tree bottoms: leaf switches see global worker ids (consecutive by
     // the non-decreasing worker_switch rule); internal ones their children's
     // leaf_wid.
@@ -643,7 +626,7 @@ void TopologyBuilder::build_irregular(const IrregularSpec& spec) {
     const int port = static_cast<int>(std::find(group.begin(), group.end(), w) - group.begin());
     auto wk = std::make_unique<worker::Worker>(
         f_.sim_, static_cast<net::NodeId>(w), "worker-" + std::to_string(w),
-        worker_config(w, static_cast<int>(group.size()), sw.id()));
+        worker_config(w, sw.id()));
     auto link = std::make_unique<net::Link>(f_.sim_, link_config(params_.link_rate), *wk, 0, sw,
                                             port, params_.seed + static_cast<std::uint64_t>(w));
     wk->set_uplink(*link);

@@ -4,10 +4,12 @@
 // `FabricParams` carries the link/NIC/protocol parameters every deployment
 // shares; `TopologySpec` selects the shape (§1 rack star, §6 multi-job
 // tenancy, §6 two-level hierarchy, §6 arbitrary-depth tree); `TopologyBuilder`
-// turns the pair into wired nodes and links inside a `Fabric`. The four
-// cluster classes in core/cluster.hpp are thin facades over this one build
-// path, so a wiring rule (seeds, port layout, multicast groups, switch roles)
-// exists in exactly one place.
+// turns the pair into wired nodes and links inside a `Fabric`. Every shape is
+// built as `Fabric(FabricConfig(params, Spec{...}))` (core/cluster.hpp's rack
+// `Cluster` is a convenience over the same path), so a wiring rule (seeds,
+// port layout, multicast groups, switch roles) exists in exactly one place.
+// Callers address nodes by build index, the same convention scenario files
+// and FaultPlan use: see `worker()` and `switch_at()`.
 //
 // Construction also installs a `MetricsRegistry` scope, so every worker,
 // switch, and link built here registers its counters; `Fabric::metrics()`
@@ -15,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <variant>
 #include <vector>
@@ -26,6 +29,10 @@
 #include "net/link.hpp"
 #include "switchml_switch/aggregation_switch.hpp"
 #include "worker/worker.hpp"
+
+namespace switchml::collectives {
+class StreamingPsCluster;
+} // namespace switchml::collectives
 
 namespace switchml::core {
 
@@ -168,6 +175,8 @@ public:
   [[nodiscard]] const FabricConfig& config() const { return config_; }
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
 
+  // Workers in global id order; worker i of job j (MultiJobSpec) is
+  // worker(j * workers_per_job() + i).
   [[nodiscard]] int n_workers() const { return static_cast<int>(workers_.size()); }
   [[nodiscard]] worker::Worker& worker(int i) { return *workers_.at(static_cast<std::size_t>(i)); }
 
@@ -236,8 +245,15 @@ private:
   void on_switch_dead();
   FallbackPlan collect_fallback_plan(std::uint64_t total_elems);
   void finish_fallback();
-  void fallback_timing(const std::vector<Time>& start, std::vector<Time>& tat,
-                       std::uint64_t total_elems);
+  // Replays the plan's chunks on a streaming-PS collective (ledger and trace
+  // masked), then settles every worker that had not completed: `settle(i)`
+  // (data mode: scatter the replayed sums) and its inflated TAT.
+  using FallbackReplay = std::function<std::vector<Time>(collectives::StreamingPsCluster&,
+                                                         const FallbackPlan&)>;
+  using FallbackSettle = std::function<void(std::size_t, const FallbackPlan&)>;
+  void replay_fallback(std::uint64_t total_elems, const std::vector<Time>& start,
+                       std::vector<Time>& tat, const FallbackReplay& replay,
+                       const FallbackSettle& settle);
   void fallback_data(const std::vector<std::vector<std::int32_t>>& updates,
                      const std::vector<Time>& start, DataReduceResult& r);
 
@@ -276,7 +292,11 @@ private:
   // i < n_workers and switch (1 + i - n_workers)'s uplink after that.
   void build_irregular(const IrregularSpec& spec);
 
-  worker::WorkerConfig worker_config(int wid, int n_at_switch, net::NodeId switch_id) const;
+  [[nodiscard]] worker::WorkerConfig worker_config(int wid, net::NodeId switch_id) const;
+  // The fields every switch shares; callers add the shape-specific ones
+  // (wid_base, parent_port, leaf_wid).
+  [[nodiscard]] swprog::AggregationConfig switch_config(int n_children,
+                                                        std::uint32_t multicast_group) const;
   [[nodiscard]] net::LinkConfig link_config(BitsPerSecond rate) const;
   [[nodiscard]] BitsPerSecond uplink_rate() const {
     return params_.uplink_rate != 0 ? params_.uplink_rate : params_.link_rate;

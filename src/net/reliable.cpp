@@ -1,7 +1,6 @@
 #include "net/reliable.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "common/attribution.hpp"
@@ -186,26 +185,9 @@ void ReliableSender::on_timeout() {
   pump();
 }
 
-void ReliableSender::rtt_sample(Time sample) {
-  // Jacobson/Karels: SRTT <- SRTT + (R - SRTT)/8, RTTVAR <- RTTVAR +
-  // (|R - SRTT| - RTTVAR)/4. Samples are already Karn-filtered upstream (one
-  // probe per window, invalidated by any retransmission).
-  const double r = static_cast<double>(sample);
-  if (!have_rtt_) {
-    srtt_ = r;
-    rttvar_ = r / 2.0;
-    have_rtt_ = true;
-  } else {
-    const double err = r - srtt_;
-    srtt_ += err / 8.0;
-    rttvar_ += (std::abs(err) - rttvar_) / 4.0;
-  }
-}
-
 Time ReliableSender::base_rto() const {
-  if (!profile_.adaptive_rto || !have_rtt_) return profile_.rto_initial;
-  const auto rto = static_cast<Time>(srtt_ + 4.0 * rttvar_);
-  return std::clamp(rto, profile_.rto_min, profile_.rto_max);
+  if (!profile_.adaptive_rto || !rtt_estimator_.has_sample()) return profile_.rto_initial;
+  return rtt_estimator_.rto(profile_.rto_min, profile_.rto_max);
 }
 
 void ReliableSender::on_ack(const Packet& ack) {
@@ -214,7 +196,8 @@ void ReliableSender::on_ack(const Packet& ack) {
     const Time now = host_.simulation().now();
     if (probe_end_ >= 0 && acked >= probe_end_) {
       host_.rtt_hist().record(now - probe_sent_at_);
-      if (profile_.adaptive_rto) rtt_sample(now - probe_sent_at_);
+      // Karn-filtered: one probe per window, invalidated by any retransmission.
+      if (profile_.adaptive_rto) rtt_estimator_.sample(now - probe_sent_at_);
       probe_end_ = -1;
     }
     if (retx_since_ >= 0) {

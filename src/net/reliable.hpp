@@ -19,6 +19,7 @@
 #include <unordered_map>
 
 #include "common/histogram.hpp"
+#include "common/rtt_estimator.hpp"
 #include "net/link.hpp"
 #include "net/nic.hpp"
 #include "net/node.hpp"
@@ -125,7 +126,6 @@ private:
   void send_segment(std::int64_t seq);
   void arm_rto();
   void on_timeout();
-  void rtt_sample(Time sample);
   [[nodiscard]] Time base_rto() const;
 
   TransportHost& host_;
@@ -153,10 +153,7 @@ private:
   // Loss-recovery span: first retransmission (RTO or fast retransmit) until
   // the next cumulative ACK advance.
   Time retx_since_ = -1;
-  // Jacobson/Karels state (profile_.adaptive_rto).
-  double srtt_ = 0.0;
-  double rttvar_ = 0.0;
-  bool have_rtt_ = false;
+  RttEstimator rtt_estimator_; // profile_.adaptive_rto only
 };
 
 // Receives a single stream of `total_bytes`. Out-of-order segments are

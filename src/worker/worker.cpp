@@ -1,7 +1,6 @@
 #include "worker/worker.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <stdexcept>
 
@@ -87,20 +86,8 @@ void Worker::rtt_sample(Time sample) {
   rtt_.add(to_usec(sample));
   rtt_ns_.record(sample);
   if (!config_.adaptive_rto) return;
-  // Jacobson/Karels: SRTT <- SRTT + (R - SRTT)/8, RTTVAR <- RTTVAR +
-  // (|R - SRTT| - RTTVAR)/4, RTO = SRTT + 4 RTTVAR.
-  const double r = static_cast<double>(sample);
-  if (!have_rtt_) {
-    srtt_ = r;
-    rttvar_ = r / 2.0;
-    have_rtt_ = true;
-  } else {
-    const double err = r - srtt_;
-    srtt_ += err / 8.0;
-    rttvar_ += (std::abs(err) - rttvar_) / 4.0;
-  }
-  const auto rto = static_cast<Time>(srtt_ + 4.0 * rttvar_);
-  rto_ = std::clamp(rto, config_.rto_min, config_.rto_max);
+  rtt_estimator_.sample(sample);
+  rto_ = rtt_estimator_.rto(config_.rto_min, config_.rto_max);
 }
 
 std::uint32_t Worker::chunk_elems(std::uint64_t off) const {

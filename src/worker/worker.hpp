@@ -28,6 +28,7 @@
 
 #include "common/histogram.hpp"
 #include "common/int_telemetry.hpp"
+#include "common/rtt_estimator.hpp"
 #include "common/stats.hpp"
 #include "net/channel.hpp"
 #include "net/link.hpp"
@@ -299,11 +300,8 @@ private:
   Histogram completion_ns_;
   Histogram resync_ns_;
   Time reduction_started_at_ = 0;
-  // Jacobson/Karels state (adaptive_rto).
   Time rto_ = 0;
-  double srtt_ = 0.0;
-  double rttvar_ = 0.0;
-  bool have_rtt_ = false;
+  RttEstimator rtt_estimator_; // adaptive_rto only
 };
 
 } // namespace switchml::worker

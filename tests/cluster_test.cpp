@@ -274,11 +274,9 @@ TEST(ClusterCorruption, RandomBitErrorsEverywhereStillExact) {
 // ---- hierarchical (§6) -----------------------------------------------------
 
 TEST(Hierarchy, TwoRackAggregationIsExact) {
-  HierarchyConfig cfg;
-  cfg.racks = 2;
-  cfg.workers_per_rack = 4;
-  cfg.pool_size = 16;
-  HierarchicalCluster h(cfg);
+  FabricParams params;
+  params.pool_size = 16;
+  Fabric h(FabricConfig(params, HierarchySpec{2, 4}));
   auto updates = random_updates(8, 4096, 14);
   auto result = h.reduce_i32(updates);
   const auto expect = exact_sum(updates);
@@ -286,38 +284,32 @@ TEST(Hierarchy, TwoRackAggregationIsExact) {
 }
 
 TEST(Hierarchy, ThreeRacksUnevenWorkers) {
-  HierarchyConfig cfg;
-  cfg.racks = 3;
-  cfg.workers_per_rack = 2;
-  cfg.pool_size = 8;
-  HierarchicalCluster h(cfg);
+  FabricParams params;
+  params.pool_size = 8;
+  Fabric h(FabricConfig(params, HierarchySpec{3, 2}));
   auto updates = random_updates(6, 2048, 15);
   auto result = h.reduce_i32(updates);
   EXPECT_EQ(result.outputs[5], exact_sum(updates));
 }
 
 TEST(Hierarchy, SurvivesUniformLoss) {
-  HierarchyConfig cfg;
-  cfg.racks = 2;
-  cfg.workers_per_rack = 3;
-  cfg.pool_size = 8;
-  cfg.loss_prob = 0.02;
-  HierarchicalCluster h(cfg);
+  FabricParams params;
+  params.pool_size = 8;
+  params.loss_prob = 0.02;
+  Fabric h(FabricConfig(params, HierarchySpec{2, 3}));
   auto updates = random_updates(6, 4096, 16);
   auto result = h.reduce_i32(updates);
   EXPECT_EQ(result.outputs[0], exact_sum(updates));
 }
 
 TEST(Hierarchy, LeafForwardsOnePartialPerSlotCompletion) {
-  HierarchyConfig cfg;
-  cfg.racks = 2;
-  cfg.workers_per_rack = 4;
-  cfg.pool_size = 16;
-  HierarchicalCluster h(cfg);
+  FabricParams params;
+  params.pool_size = 16;
+  Fabric h(FabricConfig(params, HierarchySpec{2, 4}));
   auto updates = random_updates(8, 4096, 17);
   h.reduce_i32(updates);
   const std::uint64_t chunks = 4096 / 32;
-  EXPECT_EQ(h.leaf(0).counters().upstream_partials, chunks);
+  EXPECT_EQ(h.switch_at(1).counters().upstream_partials, chunks); // leaf 0
   EXPECT_EQ(h.root().counters().completions, chunks);
 }
 

@@ -23,8 +23,6 @@ namespace {
 using core::Cluster;
 using core::ClusterConfig;
 using core::FaultPlan;
-using core::HierarchicalCluster;
-using core::HierarchyConfig;
 
 // ---- serialization_time guard (the rate-0 "infinitely fast link" bug) ------
 
@@ -358,10 +356,9 @@ TEST(FaultPlanTest, SwitchRestartMidReductionRecoversTiming) {
 }
 
 TEST(FaultPlanTest, HierarchyLeafRestartKeepsDataModeExact) {
-  HierarchyConfig cfg;
-  cfg.racks = 2;
-  cfg.workers_per_rack = 2;
-  cfg.pool_size = 16;
+  core::FabricParams params;
+  params.pool_size = 16;
+  const core::HierarchySpec shape{2, 2};
 
   const std::size_t d = 4096;
   std::vector<std::vector<std::int32_t>> updates(4, std::vector<std::int32_t>(d));
@@ -374,17 +371,17 @@ TEST(FaultPlanTest, HierarchyLeafRestartKeepsDataModeExact) {
 
   // Clean run pins down the reduction's duration so the restart provably
   // lands mid-flight.
-  HierarchicalCluster clean(cfg);
+  core::Fabric clean(core::FabricConfig(params, shape));
   const auto clean_result = clean.reduce_i32(updates);
   const Time clean_max =
       *std::max_element(clean_result.tat.begin(), clean_result.tat.end());
 
   // Restart leaf 0 (switch_at(1)) mid-reduction: shadow copies + version
   // bits + worker RTOs must re-drive the wiped slots without double-counting.
-  cfg.faults.switch_restarts.push_back({1, clean_max / 2});
-  HierarchicalCluster cluster(cfg);
+  params.faults.switch_restarts.push_back({1, clean_max / 2});
+  core::Fabric cluster(core::FabricConfig(params, shape));
   const auto result = cluster.reduce_i32(updates);
-  EXPECT_EQ(cluster.leaf(0).counters().restarts, 1u);
+  EXPECT_EQ(cluster.switch_at(1).counters().restarts, 1u);
   for (int w = 0; w < 4; ++w) ASSERT_EQ(result.outputs[static_cast<std::size_t>(w)], expect) << w;
 }
 

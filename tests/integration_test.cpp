@@ -171,18 +171,18 @@ TEST(HierarchyLoss, HeavyUniformLossIncludingUplinksIsRepaired) {
   // retransmission that hits a completed leaf slot regenerates the partial
   // aggregate upstream. Uniform loss on EVERY link (uplinks included)
   // exercises exactly that path.
-  core::HierarchyConfig cfg;
-  cfg.racks = 2;
-  cfg.workers_per_rack = 2;
-  cfg.pool_size = 4;
-  cfg.loss_prob = 0.03;
-  core::HierarchicalCluster h(cfg);
+  core::FabricParams params;
+  params.pool_size = 4;
+  params.loss_prob = 0.03;
+  core::Fabric h(core::FabricConfig(params, core::HierarchySpec{2, 2}));
   auto updates = random_updates(4, 2048, 400);
   auto result = h.reduce_i32(updates);
   EXPECT_EQ(result.outputs[0], exact_sum(updates));
   // The uplink repairs show up as extra partials beyond one per chunk.
   const std::uint64_t chunks = 2048 / 32;
-  EXPECT_GT(h.leaf(0).counters().upstream_partials + h.leaf(1).counters().upstream_partials,
+  // Leaves 0 and 1 are switch_at(1) and switch_at(2); switch 0 is the root.
+  EXPECT_GT(h.switch_at(1).counters().upstream_partials +
+                h.switch_at(2).counters().upstream_partials,
             2 * chunks);
 }
 

@@ -186,20 +186,18 @@ TEST(MetricsCluster, StreamingPsRegistersShardCounters) {
 // ---- loss knob coverage ----------------------------------------------------
 
 TEST(MetricsCluster, TreeSetLossProbReachesEveryLevel) {
-  core::TreeConfig cfg;
-  cfg.levels = 3;
-  cfg.branching = 2;
-  cfg.workers_per_rack = 2;
-  core::TreeCluster tree(cfg);
+  core::FabricParams params;
+  params.pool_size = 64;
+  core::Fabric tree(core::FabricConfig(params, core::TreeSpec{3, 2, 2}));
   // root + 2 internal + 4 racks, 8 workers; links: 8 worker links + 6 uplinks.
   ASSERT_EQ(tree.n_switches(), 7);
-  ASSERT_EQ(tree.fabric().n_links(), 14u);
+  ASSERT_EQ(tree.n_links(), 14u);
 
-  for (std::size_t i = 0; i < tree.fabric().n_links(); ++i)
-    ASSERT_EQ(tree.fabric().link(i).config().loss_prob, 0.0) << i;
+  for (std::size_t i = 0; i < tree.n_links(); ++i)
+    ASSERT_EQ(tree.link(i).config().loss_prob, 0.0) << i;
   tree.set_loss_prob(0.05);
-  for (std::size_t i = 0; i < tree.fabric().n_links(); ++i)
-    EXPECT_EQ(tree.fabric().link(i).config().loss_prob, 0.05) << i;
+  for (std::size_t i = 0; i < tree.n_links(); ++i)
+    EXPECT_EQ(tree.link(i).config().loss_prob, 0.05) << i;
 }
 
 } // namespace

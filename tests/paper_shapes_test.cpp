@@ -167,25 +167,21 @@ TEST(PaperShapes, Fig7MtuPacketsImproveTatByHeaderRatio) {
 // ---- §6 ----------------------------------------------------------------
 
 TEST(PaperShapes, Sec6HierarchyHoldsLineRateAcrossRacks) {
-  core::HierarchyConfig cfg;
-  cfg.racks = 2;
-  cfg.workers_per_rack = 8;
-  cfg.transport = net::TransportKind::kUdp; // line-rate claim is UDP-calibrated
-  cfg.timing_only = true;
-  cfg.nic = core::switchml_worker_nic_10g();
-  core::HierarchicalCluster h(cfg);
+  core::FabricParams params;
+  params.transport = net::TransportKind::kUdp; // line-rate claim is UDP-calibrated
+  params.timing_only = true;
+  params.nic = core::switchml_worker_nic_10g();
+  core::Fabric h(core::FabricConfig(params, core::HierarchySpec{2, 8}));
   auto tats = h.reduce_timing(kElems);
   const double ate = static_cast<double>(kElems) / to_sec(tats[0]);
   EXPECT_GT(ate, 0.97 * collectives::switchml_ate_rate(gbps(10), 32));
 }
 
 TEST(PaperShapes, Sec6ConcurrentJobsKeepFullRate) {
-  core::MultiJobConfig cfg;
-  cfg.n_jobs = 4;
-  cfg.workers_per_job = 4;
-  cfg.transport = net::TransportKind::kUdp; // line-rate claim is UDP-calibrated
-  cfg.timing_only = true;
-  core::MultiJobCluster cluster(cfg);
+  core::FabricParams params;
+  params.transport = net::TransportKind::kUdp; // line-rate claim is UDP-calibrated
+  params.timing_only = true;
+  core::Fabric cluster(core::FabricConfig(params, core::MultiJobSpec{4, 4}));
   auto tats = cluster.reduce_timing_all(kElems);
   for (const auto& job : tats)
     for (Time t : job) {

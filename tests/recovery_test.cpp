@@ -25,8 +25,6 @@ namespace {
 
 using core::Cluster;
 using core::ClusterConfig;
-using core::HierarchicalCluster;
-using core::HierarchyConfig;
 
 std::vector<std::vector<std::int32_t>> make_updates(int n, std::size_t d) {
   std::vector<std::vector<std::int32_t>> updates(static_cast<std::size_t>(n),
@@ -218,27 +216,26 @@ TEST(Recovery, SwitchKillDegradesToFallbackBitExact) {
 // sync queries), but no slot can ever complete, so the dead_after budget is
 // the only way out. The hierarchy degrades to the fallback like the rack.
 TEST(Recovery, HierarchyRootKillDegradesToFallbackBitExact) {
-  HierarchyConfig cfg;
-  cfg.racks = 2;
-  cfg.workers_per_rack = 2;
-  cfg.pool_size = 16;
-  cfg.sync_after = 2;
-  cfg.dead_after = 6;
+  core::FabricParams params;
+  params.pool_size = 16;
+  params.sync_after = 2;
+  params.dead_after = 6;
+  const core::HierarchySpec shape{2, 2};
   const std::size_t d = 4096;
   const auto updates = make_updates(4, d);
 
-  HierarchicalCluster clean(cfg);
+  core::Fabric clean(core::FabricConfig(params, shape));
   const auto clean_result = clean.reduce_i32(updates);
   const Time clean_max = *std::max_element(clean_result.tat.begin(), clean_result.tat.end());
 
-  cfg.faults.switch_kills.push_back({0, clean_max / 2});
-  HierarchicalCluster cluster(cfg);
+  params.faults.switch_kills.push_back({0, clean_max / 2});
+  core::Fabric cluster(core::FabricConfig(params, shape));
   const auto result = cluster.reduce_i32(updates);
 
   const auto expect = expected_sum(4, d);
   for (int w = 0; w < 4; ++w)
     ASSERT_EQ(result.outputs[static_cast<std::size_t>(w)], expect) << w;
-  EXPECT_TRUE(cluster.fabric().fallback_engaged());
+  EXPECT_TRUE(cluster.fallback_engaged());
   EXPECT_GT(cluster.root().counters().dead_drops, 0u);
 }
 

@@ -3,6 +3,10 @@
 // and repeated flush cycles with loss.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+
 #include "core/cluster.hpp"
 #include "core/stream_manager.hpp"
 #include "sim/rng.hpp"
@@ -63,6 +67,38 @@ TEST(StreamManagerEdge, AveragingOption) {
   }
   cluster.simulation().run();
   for (float v : out[0]) EXPECT_NEAR(v, 8.0f, 1e-3f);
+}
+
+TEST(StreamManagerEdge, AveragingDividesByTheJobOnEveryShape) {
+  // The mean of all-ones tensors is 1.0 on every worker, whatever the switch
+  // fan-in: averaging must divide by the job's contributor count, not by the
+  // size of the worker's rack.
+  const std::vector<std::pair<std::string, TopologySpec>> shapes = {
+      {"rack", RackSpec{8}},
+      {"hierarchy 2x4", HierarchySpec{2, 4}},
+      {"tree 3x2x2", TreeSpec{3, 2, 2}},
+      {"irregular 2+3", IrregularSpec{{-1, 0, 0, 1}, {2, 2, 3, 3, 3}}},
+  };
+  for (const auto& [name, shape] : shapes) {
+    FabricParams params;
+    params.pool_size = 8;
+    Fabric fabric(FabricConfig(params, shape));
+    const auto n = static_cast<std::size_t>(fabric.n_workers());
+    std::vector<std::vector<float>> in(n, std::vector<float>(64, 1.0f));
+    std::vector<std::vector<float>> out(n, std::vector<float>(64));
+    std::vector<std::unique_ptr<StreamManager>> ms;
+    for (std::size_t w = 0; w < n; ++w) {
+      StreamOptions opt;
+      opt.average = true;
+      auto m = std::make_unique<StreamManager>(fabric.worker(static_cast<int>(w)), opt);
+      m->submit(in[w], out[w], 1e5, nullptr);
+      m->flush();
+      ms.push_back(std::move(m));
+    }
+    fabric.simulation().run();
+    for (std::size_t w = 0; w < n; ++w)
+      EXPECT_NEAR(out[w][0], 1.0f, 1e-5f) << name << ", worker " << w;
+  }
 }
 
 TEST(StreamManagerEdge, InPlaceAliasedBuffers) {

@@ -2,7 +2,7 @@
 // recovery through every tier, and the per-level bandwidth reduction.
 #include <gtest/gtest.h>
 
-#include "core/cluster.hpp"
+#include "core/fabric.hpp"
 #include "sim/rng.hpp"
 
 namespace switchml::core {
@@ -26,11 +26,9 @@ std::vector<std::int32_t> sum_of(const std::vector<std::vector<std::int32_t>>& u
 
 TEST(Tree, ThreeLevelAggregationIsExact) {
   // root -> 2 internal switches -> 2 racks each -> 3 workers per rack.
-  TreeConfig cfg;
-  cfg.levels = 3;
-  cfg.branching = 2;
-  cfg.workers_per_rack = 3;
-  TreeCluster tree(cfg);
+  FabricParams params;
+  params.pool_size = 64;
+  Fabric tree(FabricConfig(params, TreeSpec{3, 2, 3}));
   EXPECT_EQ(tree.n_workers(), 2 * 2 * 3);
   EXPECT_EQ(tree.n_switches(), 1u + 2u + 4u);
 
@@ -42,24 +40,19 @@ TEST(Tree, ThreeLevelAggregationIsExact) {
 }
 
 TEST(Tree, FourLevelAggregationIsExact) {
-  TreeConfig cfg;
-  cfg.levels = 4;
-  cfg.branching = 2;
-  cfg.workers_per_rack = 2;
-  cfg.pool_size = 8;
-  TreeCluster tree(cfg);
+  FabricParams params;
+  params.pool_size = 8;
+  Fabric tree(FabricConfig(params, TreeSpec{4, 2, 2}));
   EXPECT_EQ(tree.n_workers(), 2 * 2 * 2 * 2); // 2^3 racks x 2 workers
   auto updates = updates_for(tree.n_workers(), 1024, 2);
   auto r = tree.reduce_i32(updates);
   EXPECT_EQ(r.outputs[5], sum_of(updates));
 }
 
-TEST(Tree, TwoLevelMatchesHierarchicalCluster) {
-  TreeConfig cfg;
-  cfg.levels = 2;
-  cfg.branching = 3; // root with 3 bottom switches
-  cfg.workers_per_rack = 2;
-  TreeCluster tree(cfg);
+TEST(Tree, TwoLevelMatchesHierarchySpec) {
+  FabricParams params;
+  params.pool_size = 64;
+  Fabric tree(FabricConfig(params, TreeSpec{2, 3, 2})); // root with 3 bottom switches
   EXPECT_EQ(tree.n_workers(), 6);
   auto updates = updates_for(6, 2048, 3);
   auto r = tree.reduce_i32(updates);
@@ -67,25 +60,20 @@ TEST(Tree, TwoLevelMatchesHierarchicalCluster) {
 }
 
 TEST(Tree, SurvivesLossAtEveryTier) {
-  TreeConfig cfg;
-  cfg.levels = 3;
-  cfg.branching = 2;
-  cfg.workers_per_rack = 2;
-  cfg.pool_size = 8;
-  cfg.loss_prob = 0.02; // every link, including both switch tiers
-  TreeCluster tree(cfg);
+  FabricParams params;
+  params.pool_size = 8;
+  params.loss_prob = 0.02; // every link, including both switch tiers
+  Fabric tree(FabricConfig(params, TreeSpec{3, 2, 2}));
   auto updates = updates_for(tree.n_workers(), 4096, 4);
   auto r = tree.reduce_i32(updates);
   EXPECT_EQ(r.outputs[0], sum_of(updates));
 }
 
 TEST(Tree, EveryTierReducesBandwidth) {
-  TreeConfig cfg;
-  cfg.levels = 3;
-  cfg.branching = 2;
-  cfg.workers_per_rack = 4;
-  cfg.timing_only = true;
-  TreeCluster tree(cfg);
+  FabricParams params;
+  params.pool_size = 64;
+  params.timing_only = true;
+  Fabric tree(FabricConfig(params, TreeSpec{3, 2, 4}));
   const std::uint64_t elems = 32 * 512;
   tree.reduce_timing(elems);
   const std::uint64_t chunks = elems / 32;
@@ -97,9 +85,7 @@ TEST(Tree, EveryTierReducesBandwidth) {
 }
 
 TEST(Tree, RejectsDegenerateShapes) {
-  TreeConfig cfg;
-  cfg.levels = 1;
-  EXPECT_THROW(TreeCluster{cfg}, std::invalid_argument);
+  EXPECT_THROW(Fabric(FabricConfig(FabricParams{}, TreeSpec{1, 2, 4})), std::invalid_argument);
 }
 
 } // namespace
