@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "collectives/streaming_ps.hpp"
+#include "collectives/ps_shard.hpp"
 #include "common/attribution.hpp"
 #include "common/tracing.hpp"
 #include "core/fault.hpp"
@@ -16,6 +16,7 @@ namespace switchml::core {
 namespace {
 constexpr net::NodeId kSwitchId = 10'000;
 constexpr net::NodeId kRootId = 20'000;
+constexpr net::NodeId kPsShardIdBase = 1'000;
 constexpr std::uint32_t kWorkerMulticastGroup = 1;
 constexpr std::uint32_t kJobMulticastBase = 100;
 
@@ -45,6 +46,10 @@ void validate(const FabricConfig& config) {
                      throw std::invalid_argument("Fabric: invalid tree shape");
                  },
                  [](const IrregularSpec& s) { validate_irregular(s); },
+                 [](const StreamingPsSpec& s) {
+                   if (s.n_workers < 1)
+                     throw std::invalid_argument("Fabric: need at least one worker");
+                 },
              },
              config.topology);
 }
@@ -161,6 +166,7 @@ void Fabric::install_observability() {
 Fabric::~Fabric() = default;
 
 void Fabric::install_recovery() {
+  if (switches_.empty()) return; // a streaming PS has no switch to declare dead
   if (auto* reg = MetricsRegistry::current()) {
     reg->add_counter("recovery.fallbacks", [this] { return fallbacks_; });
     reg->add_counter("recovery.fallback_replay_elems",
@@ -207,28 +213,6 @@ void Fabric::finish_fallback() {
   fallback_pending_ = false;
 }
 
-namespace {
-collectives::StreamingPsConfig fallback_ps_config(const FabricConfig& c, int n_workers) {
-  collectives::StreamingPsConfig psc;
-  psc.n_workers = n_workers;
-  psc.placement = collectives::StreamingPsPlacement::Dedicated;
-  psc.link_rate = c.link_rate;
-  psc.propagation = c.propagation;
-  psc.queue_limit_bytes = c.queue_limit_bytes;
-  psc.loss_prob = c.loss_prob;
-  psc.pool_size = c.pool_size;
-  psc.elems_per_packet = c.elems_per_packet;
-  psc.retransmit_timeout = c.retransmit_timeout;
-  psc.nic = c.nic;
-  psc.transport = c.transport;
-  psc.rdma = c.rdma;
-  psc.timing_only = c.timing_only;
-  psc.switch_latency = c.switch_latency;
-  psc.seed = c.seed + 9001; // distinct RNG stream for the replay
-  return psc;
-}
-} // namespace
-
 void Fabric::replay_fallback(std::uint64_t total_elems, const std::vector<Time>& start,
                              std::vector<Time>& tat, const FallbackReplay& replay,
                              const FallbackSettle& settle) {
@@ -241,7 +225,10 @@ void Fabric::replay_fallback(std::uint64_t total_elems, const std::vector<Time>&
     // (the fallback_begin event marks the replay instead).
     attr::SpanLedger::Scope mask(nullptr);
     trace::TraceSink::Scope trace_mask(nullptr);
-    collectives::StreamingPsCluster ps(fallback_ps_config(config_, workers_per_job_));
+    FabricParams params = config_;
+    params.faults = {};
+    params.seed += 9001; // distinct RNG stream for the replay
+    Fabric ps(FabricConfig(params, StreamingPsSpec{workers_per_job_}));
     ps_tat = replay(ps, plan);
   }
   for (std::size_t i = 0; i < tat.size(); ++i) {
@@ -264,10 +251,11 @@ void Fabric::fallback_data(const std::vector<std::vector<std::int32_t>>& updates
   std::vector<std::vector<std::int32_t>> replayed;
   replay_fallback(
       total_elems, start, r.tat,
-      [&](collectives::StreamingPsCluster& ps, const FallbackPlan& plan) {
+      [&](Fabric& ps, const FallbackPlan& plan) {
         // Replay the union of unconsumed chunks, compacted into one contiguous
         // vector per worker. int32 sums are order-independent and
-        // overflow-wrapping, so the PS result is bit-identical to what the
+        // overflow-wrapping, and 16-bit values pass through the switch's
+        // conversion tables, so the PS result is bit-identical to what the
         // switch would have produced.
         std::vector<std::vector<std::int32_t>> compact(updates.size());
         for (std::size_t i = 0; i < updates.size(); ++i) {
@@ -313,7 +301,7 @@ std::vector<Time> Fabric::reduce_timing(std::uint64_t total_elems) {
   if (fallback_pending_) {
     replay_fallback(
         total_elems, start, tat,
-        [](collectives::StreamingPsCluster& ps, const FallbackPlan& plan) {
+        [](Fabric& ps, const FallbackPlan& plan) {
           return ps.reduce_timing(plan.replay_elems);
         },
         nullptr);
@@ -407,6 +395,11 @@ void TopologyBuilder::build() {
                    f_.workers_per_job_ = static_cast<int>(s.worker_switch.size());
                    build_irregular(s);
                  },
+                 [&](const StreamingPsSpec& s) {
+                   f_.n_jobs_ = 1;
+                   f_.workers_per_job_ = s.n_workers;
+                   build_streaming_ps(s);
+                 },
              },
              f_.config_.topology);
 }
@@ -430,9 +423,12 @@ worker::WorkerConfig TopologyBuilder::worker_config(int wid, net::NodeId switch_
   wc.int_mode = params_.int_mode;
   wc.lossless = params_.lossless;
   // Lossless workers have no timers, so the timeout-driven escalation stages
-  // can never fire; keep them disabled explicitly.
-  wc.sync_after = params_.lossless ? 0 : params_.sync_after;
-  wc.dead_after = params_.lossless ? 0 : params_.dead_after;
+  // can never fire; keep them disabled explicitly. A streaming PS never
+  // restarts (nothing to probe) and has no fallback of its own.
+  const bool escalate =
+      !params_.lossless && !std::holds_alternative<StreamingPsSpec>(f_.config_.topology);
+  wc.sync_after = escalate ? params_.sync_after : 0;
+  wc.dead_after = escalate ? params_.dead_after : 0;
   return wc;
 }
 
@@ -655,6 +651,54 @@ void TopologyBuilder::build_irregular(const IrregularSpec& spec) {
     for (std::size_t p = 0; p < child_ports.size(); ++p) child_ports[p] = static_cast<int>(p);
     f_.switches_[static_cast<std::size_t>(i)]->add_multicast_group(kWorkerMulticastGroup,
                                                                    child_ports);
+  }
+}
+
+void TopologyBuilder::build_streaming_ps(const StreamingPsSpec& spec) {
+  const int n = spec.n_workers;
+  const bool dedicated = spec.placement == StreamingPsPlacement::Dedicated;
+  f_.hub_ = std::make_unique<net::L2Switch>(f_.sim_, kSwitchId, "fabric", params_.switch_latency);
+
+  std::vector<net::NodeId> worker_ids;
+  for (int i = 0; i < n; ++i) worker_ids.push_back(static_cast<net::NodeId>(i));
+  // Slot idx is served by PS shard idx % n (all n shards exist in both
+  // placements; colocated shard i lives on worker host i).
+  const auto shard_of = [dedicated, n](std::uint32_t idx) {
+    const int shard = static_cast<int>(idx) % n;
+    return static_cast<net::NodeId>(dedicated ? kPsShardIdBase + shard : shard);
+  };
+
+  const net::LinkConfig lc = link_config(params_.link_rate);
+  for (int i = 0; i < n; ++i) {
+    const worker::WorkerConfig wc = worker_config(i, kSwitchId);
+    std::unique_ptr<worker::Worker> w;
+    if (dedicated)
+      w = std::make_unique<worker::Worker>(f_.sim_, static_cast<net::NodeId>(i),
+                                           "worker-" + std::to_string(i), wc);
+    else
+      w = std::make_unique<collectives::PsColocatedHost>(
+          f_.sim_, static_cast<net::NodeId>(i), "host-" + std::to_string(i), wc, n,
+          params_.fp16_frac_bits, worker_ids);
+    w->set_destination_resolver(shard_of);
+    auto link = std::make_unique<net::Link>(f_.sim_, lc, *w, 0, *f_.hub_, i,
+                                            params_.seed + static_cast<std::uint64_t>(i));
+    w->set_uplink(*link);
+    f_.hub_->attach(i, *link);
+    f_.workers_.push_back(std::move(w));
+    f_.links_.push_back(std::move(link));
+  }
+  if (!dedicated) return;
+  for (int j = 0; j < n; ++j) {
+    auto ps = std::make_unique<collectives::PsShardNode>(
+        f_.sim_, kPsShardIdBase + static_cast<net::NodeId>(j), "ps-" + std::to_string(j),
+        params_.nic, params_.transport, params_.rdma, n, n, params_.pool_size,
+        params_.timing_only, params_.fp16_frac_bits, worker_ids);
+    auto link = std::make_unique<net::Link>(f_.sim_, lc, *ps, 0, *f_.hub_, n + j,
+                                            params_.seed + 500 + static_cast<std::uint64_t>(j));
+    ps->set_uplink(*link);
+    f_.hub_->attach(n + j, *link);
+    f_.ps_shards_.push_back(std::move(ps));
+    f_.links_.push_back(std::move(link));
   }
 }
 

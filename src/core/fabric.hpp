@@ -3,7 +3,8 @@
 //
 // `FabricParams` carries the link/NIC/protocol parameters every deployment
 // shares; `TopologySpec` selects the shape (§1 rack star, §6 multi-job
-// tenancy, §6 two-level hierarchy, §6 arbitrary-depth tree); `TopologyBuilder`
+// tenancy, §6 two-level hierarchy, §6 arbitrary-depth tree, explicit
+// adjacency, and the §5.3 streaming parameter server); `TopologyBuilder`
 // turns the pair into wired nodes and links inside a `Fabric`. Every shape is
 // built as `Fabric(FabricConfig(params, Spec{...}))` (core/cluster.hpp's rack
 // `Cluster` is a convenience over the same path), so a wiring rule (seeds,
@@ -30,8 +31,11 @@
 #include "switchml_switch/aggregation_switch.hpp"
 #include "worker/worker.hpp"
 
+namespace switchml::net {
+class L2Switch;
+} // namespace switchml::net
 namespace switchml::collectives {
-class StreamingPsCluster;
+class PsShardNode;
 } // namespace switchml::collectives
 
 namespace switchml::core {
@@ -56,7 +60,7 @@ struct FabricParams {
   Time retransmit_timeout = msec(1);
   bool adaptive_rto = false; // §6: RTT-adaptive RTO (Jacobson/Karels)
   net::NicConfig nic = switchml_worker_nic_10g();
-  // Host channel model for every worker (and the PS fallback): the DPDK/UDP
+  // Host channel model for every worker and PS process: the DPDK/UDP
   // datapath or RDMA UC with the cost knobs in `rdma`. UC carries no
   // transport-level ACK/RTO — loss repair stays with the slot protocol.
   net::TransportKind transport = net::kDefaultTransport;
@@ -84,11 +88,12 @@ struct FabricParams {
   // a slot-state probe on each retransmission — the probe detects a switch
   // restart that raced a lost result and drives the rescue re-contribution.
   // After dead_after the worker declares the switch dead and the job
-  // degrades to the streaming-PS fallback collective.
+  // degrades to the streaming-PS fallback collective. Lossless and
+  // StreamingPsSpec workers never escalate (see TopologyBuilder::worker_config).
   int sync_after = 3;
   int dead_after = 25;
   // Modeled delay between the dead declaration and the fallback collective
-  // taking over (provisioning PS processes on the worker hosts).
+  // taking over (provisioning the dedicated PS hosts the replay runs on).
   Time fallback_reprovision = msec(50);
   // Deterministic fault schedule (stragglers, link flaps, loss bursts, switch
   // restarts, switch kills) executed by a FaultInjector the fabric constructs
@@ -144,13 +149,25 @@ struct IrregularSpec {
   std::vector<int> worker_switch = {0, 0};
 };
 
+// The §5.3 streaming parameter server: the SwitchML worker protocol against
+// host-software aggregation shards (collectives/ps_shard.hpp) behind a plain
+// L2 hub, with slot idx served by shard idx % n_workers. Dedicated: n extra
+// PS hosts (2n hosts); Colocated: worker host i also runs shard i. No
+// aggregation switch, so n_switches() == 0. Also the shape the switch-dead
+// fallback replays on.
+enum class StreamingPsPlacement : std::uint8_t { Dedicated, Colocated };
+struct StreamingPsSpec {
+  int n_workers = 8;
+  StreamingPsPlacement placement = StreamingPsPlacement::Dedicated;
+};
+
 // Structural validation of an IrregularSpec (see the rules above); throws
 // std::invalid_argument. Free-standing so scenario loaders can validate a
 // parsed spec without building a fabric.
 void validate_irregular(const IrregularSpec& spec);
 
-using TopologySpec =
-    std::variant<RackSpec, MultiJobSpec, HierarchySpec, TreeSpec, IrregularSpec>;
+using TopologySpec = std::variant<RackSpec, MultiJobSpec, HierarchySpec, TreeSpec, IrregularSpec,
+                                  StreamingPsSpec>;
 
 struct FabricConfig : FabricParams {
   TopologySpec topology = RackSpec{};
@@ -181,10 +198,11 @@ public:
   [[nodiscard]] worker::Worker& worker(int i) { return *workers_.at(static_cast<std::size_t>(i)); }
 
   // Switches in build order: [0] is the root (or the only switch); a
-  // two-level hierarchy's leaf r is switch_at(1 + r).
+  // two-level hierarchy's leaf r is switch_at(1 + r). None on a
+  // StreamingPsSpec fabric.
   [[nodiscard]] std::size_t n_switches() const { return switches_.size(); }
   [[nodiscard]] swprog::AggregationSwitch& switch_at(std::size_t i) { return *switches_.at(i); }
-  [[nodiscard]] swprog::AggregationSwitch& root() { return *switches_.front(); }
+  [[nodiscard]] swprog::AggregationSwitch& root() { return *switches_.at(0); }
 
   [[nodiscard]] std::size_t n_links() const { return links_.size(); }
   [[nodiscard]] net::Link& link(std::size_t i) { return *links_.at(i); }
@@ -232,9 +250,12 @@ private:
   // --- switch-dead fallback (graceful degradation) ---------------------------
   // A worker exhausting its dead_after retry budget fires on_switch_dead(),
   // which aborts every worker's reduction so the simulation drains; the
-  // reduce_* call then replays the union of unconsumed chunks on a
-  // streaming-PS collective with honest TAT inflation (drain + reprovision +
-  // PS time). Bit-exact in data mode: int32 sums are order-independent.
+  // reduce_* call then replays the union of unconsumed chunks on a dedicated
+  // StreamingPsSpec fabric with honest TAT inflation (drain + reprovision +
+  // PS time). The replay fabric takes this fabric's params with no faults and
+  // seed + 9001; its workers never escalate, so the fallback does not nest.
+  // Bit-exact in data mode: int32 sums are order-independent, and 16-bit
+  // values pass through the switch's own conversion tables.
   struct FallbackPlan {
     Time drained_at = 0;
     std::vector<std::uint64_t> offsets; // union of unconsumed chunk offsets
@@ -245,11 +266,10 @@ private:
   void on_switch_dead();
   FallbackPlan collect_fallback_plan(std::uint64_t total_elems);
   void finish_fallback();
-  // Replays the plan's chunks on a streaming-PS collective (ledger and trace
+  // Replays the plan's chunks on the replay fabric (ledger and trace
   // masked), then settles every worker that had not completed: `settle(i)`
   // (data mode: scatter the replayed sums) and its inflated TAT.
-  using FallbackReplay = std::function<std::vector<Time>(collectives::StreamingPsCluster&,
-                                                         const FallbackPlan&)>;
+  using FallbackReplay = std::function<std::vector<Time>(Fabric&, const FallbackPlan&)>;
   using FallbackSettle = std::function<void(std::size_t, const FallbackPlan&)>;
   void replay_fallback(std::uint64_t total_elems, const std::vector<Time>& start,
                        std::vector<Time>& tat, const FallbackReplay& replay,
@@ -261,6 +281,8 @@ private:
   MetricsRegistry metrics_;
   sim::Simulation sim_;
   std::vector<std::unique_ptr<swprog::AggregationSwitch>> switches_; // [0] = root
+  std::unique_ptr<net::L2Switch> hub_;                                // StreamingPsSpec only
+  std::vector<std::unique_ptr<collectives::PsShardNode>> ps_shards_;  // dedicated PS only
   std::vector<std::unique_ptr<worker::Worker>> workers_;
   std::vector<std::unique_ptr<net::Link>> links_;
   std::unique_ptr<FaultInjector> faults_;
@@ -291,6 +313,9 @@ private:
   // child index order — so Fabric::link(i) is worker i's uplink for
   // i < n_workers and switch (1 + i - n_workers)'s uplink after that.
   void build_irregular(const IrregularSpec& spec);
+  // Workers (ports 0..n-1, seeds seed+i) on an L2 hub, then the dedicated
+  // PS shards (ids 1000+j, ports n..2n-1, seeds seed+500+j).
+  void build_streaming_ps(const StreamingPsSpec& spec);
 
   [[nodiscard]] worker::WorkerConfig worker_config(int wid, net::NodeId switch_id) const;
   // The fields every switch shares; callers add the shape-specific ones

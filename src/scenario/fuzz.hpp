@@ -1,5 +1,5 @@
 // Seeded scenario fuzzer for the chaos soak: generates valid-by-construction
-// random scenarios across every topology shape and fault class, scaled to a
+// random scenarios across every switch topology shape and fault class, scaled to a
 // measured clean-run horizon. Same seed, same scenario, bit-identical run —
 // a soak failure reproduces from its seed alone.
 #pragma once

@@ -146,9 +146,19 @@ core::TopologySpec load_topology(const json::Value& v, const std::string& path) 
     s.switch_parent = as_int_array(o.require("switch_parent"), path + ".switch_parent");
     s.worker_switch = as_int_array(o.require("worker_switch"), path + ".worker_switch");
     spec = s;
+  } else if (kind == "streaming_ps") {
+    core::StreamingPsSpec s;
+    s.n_workers = static_cast<int>(opt_int(o, "workers", s.n_workers));
+    const std::string placement = opt_str(o, "placement", "dedicated");
+    if (placement == "colocated") s.placement = core::StreamingPsPlacement::Colocated;
+    else if (placement != "dedicated")
+      fail(path + ".placement",
+           "unknown placement \"" + placement + "\" (valid: dedicated, colocated)");
+    spec = s;
   } else {
-    fail(path + ".kind", "unknown topology kind \"" + kind +
-                             "\" (valid: rack, multi_job, hierarchy, tree, irregular)");
+    fail(path + ".kind",
+         "unknown topology kind \"" + kind +
+             "\" (valid: rack, multi_job, hierarchy, tree, irregular, streaming_ps)");
   }
   o.finish();
   // Structural validation now, with the topology's path on the error.
@@ -393,6 +403,13 @@ core::FaultTargets shape_counts(const core::TopologySpec& topology) {
             return core::FaultTargets{w, static_cast<std::size_t>(w) + s.switch_parent.size() - 1,
                                       s.switch_parent.size()};
           },
+          [](const core::StreamingPsSpec& s) {
+            // Worker links, then (dedicated) one link per PS shard; no switch.
+            const auto links = static_cast<std::size_t>(
+                s.placement == core::StreamingPsPlacement::Dedicated ? 2 * s.n_workers
+                                                                     : s.n_workers);
+            return core::FaultTargets{s.n_workers, links, 0};
+          },
       },
       topology);
 }
@@ -475,6 +492,13 @@ json::Value to_json(const Scenario& s) {
                    for (int w : t.worker_switch) ws.emplace_back(w);
                    topo.set("switch_parent", std::move(parent));
                    topo.set("worker_switch", std::move(ws));
+                 },
+                 [&](const core::StreamingPsSpec& t) {
+                   topo.set("kind", "streaming_ps");
+                   topo.set("workers", t.n_workers);
+                   topo.set("placement", t.placement == core::StreamingPsPlacement::Colocated
+                                             ? "colocated"
+                                             : "dedicated");
                  },
              },
              s.topology);

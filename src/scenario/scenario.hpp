@@ -66,8 +66,8 @@ struct Scenario {
 
 // Worker/link/switch counts of a TopologySpec WITHOUT building the fabric —
 // what the loader validates a FaultPlan's indices against. (Link indices:
-// stars and irregular fabrics put worker uplinks first, in worker order;
-// trees interleave DFS — see TopologyBuilder.)
+// stars, irregular and streaming-PS fabrics put worker uplinks first, in
+// worker order; trees interleave DFS — see TopologyBuilder.)
 [[nodiscard]] core::FaultTargets shape_counts(const core::TopologySpec& topology);
 
 // --- load/store --------------------------------------------------------------

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "collectives/baseline_cluster.hpp"
 #include "collectives/bounds.hpp"
@@ -235,6 +237,42 @@ TEST(StreamingPs, ConsecutiveReductions) {
     auto updates = random_i32(4, 2048, 13 + static_cast<std::uint64_t>(round));
     auto result = cluster.reduce_i32(updates);
     ASSERT_EQ(result.outputs[0], i32_sum(updates)) << "round " << round;
+  }
+}
+
+// A PS fabric built from default FabricParams (sync_after 3, dead_after 25):
+// its workers never escalate, so even at 10% loss, where a slot often times
+// out three times in a row, no sync query reaches a shard (which would
+// throw) and no worker declares the PS dead.
+TEST(StreamingPs, WorkersNeverEscalateUnderHeavyLoss) {
+  core::FabricParams params;
+  params.pool_size = 16;
+  params.loss_prob = 0.1;
+  core::Fabric ps(core::FabricConfig(params, core::StreamingPsSpec{4}));
+  auto updates = random_i32(4, 8192, 14);
+  auto result = ps.reduce_i32(updates);
+  const auto expect = i32_sum(updates);
+  for (int w = 0; w < 4; ++w) {
+    EXPECT_EQ(result.outputs[static_cast<std::size_t>(w)], expect) << w;
+    EXPECT_EQ(ps.worker(w).recovery().sync_queries, 0u) << w;
+    EXPECT_EQ(ps.worker(w).recovery().dead_declared, 0u) << w;
+  }
+  EXPECT_FALSE(ps.fallback_engaged());
+}
+
+TEST(StreamingPs, ShardRejectsPacketsItCannotServe) {
+  sim::Simulation sim;
+  PsShardNode shard(sim, 1000, "ps-0", core::ps_host_nic(gbps(10)), net::kDefaultTransport, {},
+                    2, 2, 16, /*timing_only=*/false, /*fp16_frac_bits=*/12, {0, 1});
+  for (net::PacketKind kind : {net::PacketKind::SmlSyncQuery, net::PacketKind::SmlRescue}) {
+    net::Packet p;
+    p.kind = kind;
+    try {
+      shard.receive(std::move(p), 0);
+      FAIL() << net::to_string(kind) << " was accepted";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(net::to_string(kind)), std::string::npos) << e.what();
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <random>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/tracing.hpp"
+#include "core/allreduce.hpp"
 #include "core/cluster.hpp"
 #include "core/fault.hpp"
 #include "net/link.hpp"
@@ -210,6 +212,60 @@ TEST(Recovery, SwitchKillDegradesToFallbackBitExact) {
   EXPECT_EQ(kills, 1);
   EXPECT_GE(dead_events, 1);
   EXPECT_EQ(fallback_begins, 1);
+}
+
+// The replay inherits the fabric's 16-bit wire format, and the PS shards
+// apply the switch's §3.7 ingress/egress tables, so a killed fp16 run ends
+// bit-identical to the unkilled one.
+TEST(Recovery, Fp16SwitchKillFallbackMatchesCleanRunBitForBit) {
+  ClusterConfig cfg = ClusterConfig::for_rate(gbps(10), 4);
+  cfg.pool_size = 8;
+  cfg.sync_after = 2;
+  cfg.dead_after = 6;
+  cfg.wire_elem_bytes = 2;
+  std::vector<std::vector<float>> inputs(4, std::vector<float>(4096));
+  for (std::size_t w = 0; w < inputs.size(); ++w)
+    for (std::size_t i = 0; i < inputs[w].size(); ++i)
+      inputs[w][i] = static_cast<float>(std::sin(0.01 * static_cast<double>(i + 97 * w)));
+  core::AllReduceOptions opt;
+  opt.wire = core::WireFormat::Float16;
+
+  Cluster clean(cfg);
+  const auto want = core::all_reduce(clean, inputs, opt);
+  const Time clean_max = *std::max_element(want.tat.begin(), want.tat.end());
+
+  cfg.faults.switch_kills.push_back({0, clean_max / 2});
+  Cluster killed(cfg);
+  const auto got = core::all_reduce(killed, inputs, opt);
+  ASSERT_TRUE(killed.fabric().fallback_engaged());
+  for (std::size_t w = 0; w < inputs.size(); ++w) ASSERT_EQ(got.outputs[w], want.outputs[w]) << w;
+}
+
+// The replay runs the fabric's own RTO policy. The switch dies at t=0, so
+// both runs below drain at the same instant and differ only in the replay's
+// losses. With a 20 ms configured timeout, adaptive RTO repairs them in about
+// an RTT after the first samples; a fixed-RTO replay stalls a slot 20 ms per
+// loss.
+TEST(Recovery, FallbackReplayInheritsAdaptiveRto) {
+  ClusterConfig cfg = ClusterConfig::for_rate(gbps(10), 4);
+  cfg.timing_only = true;
+  cfg.pool_size = 8;
+  cfg.sync_after = 2;
+  cfg.dead_after = 6;
+  cfg.adaptive_rto = true;
+  cfg.retransmit_timeout = msec(20);
+  cfg.faults.switch_kills.push_back({0, 0});
+  const auto killed_tat = [&](double loss) {
+    ClusterConfig c = cfg;
+    c.loss_prob = loss;
+    Cluster cluster(c);
+    const auto tat = cluster.reduce_timing(64 * 1024);
+    EXPECT_TRUE(cluster.fabric().fallback_engaged());
+    return *std::max_element(tat.begin(), tat.end());
+  };
+  const Time lossless = killed_tat(0.0);
+  const Time lossy = killed_tat(0.01);
+  EXPECT_LT(lossy - lossless, 3 * cfg.retransmit_timeout) << lossless << " " << lossy;
 }
 
 // A root kill strands every rack: leaves stay healthy (they even answer

@@ -153,7 +153,7 @@ TEST(ScenarioSoak, RandomizedFaultedRunsHoldEveryInvariant) {
                     "SWITCHML_TRACE_MASK (every other invariant ran)";
 }
 
-// The fuzzer must exercise all five topology shapes — a regression that
+// The fuzzer must exercise all five switch topology shapes — a regression that
 // collapses its shape selector would silently gut the soak's coverage.
 TEST(ScenarioSoak, FuzzerCoversEveryTopologyShape) {
   bool seen[5] = {};

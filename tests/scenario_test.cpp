@@ -191,6 +191,8 @@ TEST(ScenarioShapes, CountsMatchBuiltFabric) {
       core::TreeSpec{2, 3, 4},
       core::IrregularSpec{{-1, 0, 0, 1}, {2, 2, 3, 3, 3}},
       core::IrregularSpec{{-1}, {0, 0, 0}},
+      core::StreamingPsSpec{3, core::StreamingPsPlacement::Dedicated},
+      core::StreamingPsSpec{3, core::StreamingPsPlacement::Colocated},
   };
   for (const auto& topo : shapes) {
     const core::FaultTargets t = shape_counts(topo);
@@ -215,6 +217,33 @@ TEST(ScenarioShapes, IrregularReducesBitExact) {
   EXPECT_TRUE(r.data_checked);
   EXPECT_TRUE(r.data_bit_exact);
   EXPECT_FALSE(r.fallback_engaged);
+}
+
+// The §5.3 PS baseline runs from one file under a FaultPlan; having no
+// switch, it rejects switch faults at load time.
+TEST(ScenarioShapes, StreamingPsRoundTripsRunsAndRejectsSwitchFaults) {
+  const Scenario s = load_string(R"({"schema_version": 1, "name": "ps",
+      "topology": {"kind": "streaming_ps", "workers": 3, "placement": "colocated"},
+      "fabric": {"pool_size": 8},
+      "workload": {"mode": "data", "tensor_elems": 2048},
+      "faults": {"stragglers": [{"worker": 1, "factor": 3.0}]}})");
+  const auto& spec = std::get<core::StreamingPsSpec>(s.topology);
+  EXPECT_EQ(spec.n_workers, 3);
+  EXPECT_EQ(spec.placement, core::StreamingPsPlacement::Colocated);
+  const std::string once = to_json(s).dump(true);
+  EXPECT_EQ(to_json(load_string(once)).dump(true), once);
+
+  const RunResult r = run(s);
+  EXPECT_TRUE(r.data_checked);
+  EXPECT_TRUE(r.data_bit_exact);
+
+  expect_load_error(R"({"schema_version": 1, "name": "t",
+                        "topology": {"kind": "streaming_ps", "workers": 2},
+                        "faults": {"switch_kills": [{"switch": 0, "at_ns": 10}]}})",
+                    "$.faults: FaultPlan: switch_kills[0]");
+  expect_load_error(R"({"schema_version": 1, "name": "t",
+                        "topology": {"kind": "streaming_ps", "placement": "rack"}})",
+                    "$.topology.placement");
 }
 
 TEST(ScenarioShapes, IrregularSingleSwitchMatchesRack) {
